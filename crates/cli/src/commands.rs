@@ -266,14 +266,6 @@ fn server_config(p: &Parsed) -> Result<pit_server::ServerConfig, String> {
         // Event-loop sizing: a handful of I/O threads own every client
         // socket, so connection count never grows the thread count.
         io_threads: p.num("io-threads", defaults.io_threads)?,
-        // Single-flight coalescing (`--coalesce on|off`): concurrent
-        // identical cold queries share one execution and one cache fill.
-        coalesce: match p.get("coalesce") {
-            None => defaults.coalesce,
-            Some("on" | "true" | "1") => true,
-            Some("off" | "false" | "0") => false,
-            Some(v) => return Err(format!("flag --coalesce: expected on|off, got {v:?}")),
-        },
         cancel_check_tables: p.num("cancel-every", defaults.cancel_check_tables)?,
         poison_user: opt_user("poison-user")?,
         drag_user: opt_user("drag-user")?,
@@ -591,26 +583,27 @@ fn print_response(response: &pit_server::protocol::Response) -> Result<(), Strin
         protocol::Response::Pong => "PONG".to_string(),
         protocol::Response::Bye => "BYE".to_string(),
         protocol::Response::Generation(generation) => format!("generation {generation}"),
-        protocol::Response::Err(reason) => {
-            // The first word of the reason is the machine-readable class;
-            // translate each into what the operator should do about it.
-            let class = reason
-                .split([' ', ':'])
-                .next()
-                .unwrap_or_default()
-                .to_string();
-            let hint = match class.as_str() {
-                "timeout" => "query exceeded its budget; retry or raise --budget-ms on the server",
-                "overloaded" => "shed at admission; back off and retry",
-                "internal" => "server-side fault; check server STATS (panics/internal_errors)",
-                "shutting-down" => "server is draining; retry against a live instance",
-                "malformed" => "the request was rejected; fix the query parameters",
-                "reload-failed" => {
+        protocol::Response::Err(err) => {
+            // Translate each class into what the operator should do about it.
+            let hint = match err.kind {
+                protocol::ErrKind::Timeout => {
+                    "query exceeded its budget; retry or raise --budget-ms on the server"
+                }
+                protocol::ErrKind::Overloaded => "shed at admission; back off and retry",
+                protocol::ErrKind::Internal => {
+                    "server-side fault; check server STATS (panics/internal_errors)"
+                }
+                protocol::ErrKind::ShuttingDown => {
+                    "server is draining; retry against a live instance"
+                }
+                protocol::ErrKind::Malformed => {
+                    "the request was rejected; fix the query parameters"
+                }
+                protocol::ErrKind::ReloadFailed => {
                     "the snapshot/delta was rejected; the previous generation is still serving"
                 }
-                _ => "unrecognized error class",
             };
-            return Err(format!("server error: {reason} ({hint})"));
+            return Err(format!("server error: {err} ({hint})"));
         }
         protocol::Response::Stats(pairs) => pairs
             .iter()

@@ -69,7 +69,7 @@ fn usage() {
          \x20 stats    --engine DIR\n\
          \x20 serve    --engine DIR [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
          \x20          [--cache N] [--budget-ms MS] [--io-timeout-ms MS]   run the query daemon\n\
-         \x20          [--io-threads N] [--coalesce on|off]    event-loop front-end sizing\n\
+         \x20          [--io-threads N]                        event-loop front-end sizing\n\
          \x20          [--trace-sample N] [--slow-ms MS] [--trace-ring N]  per-query tracing\n\
          \x20          [--warmup-budget-ms MS] [--warmup-top N]  post-reload cache warmup\n\
          \x20          (a snapshot with a shard manifest comes up as that slice)\n\

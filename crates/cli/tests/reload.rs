@@ -297,7 +297,10 @@ fn failed_reload_leaves_the_prior_generation_serving() {
     let Response::Err(reason) = ask(&mut c, &missing) else {
         panic!("reload of a missing snapshot must fail");
     };
-    assert!(reason.starts_with("reload-failed"), "got: {reason}");
+    assert!(
+        reason.to_string().starts_with("reload-failed"),
+        "got: {reason}"
+    );
 
     // A torn snapshot: directory exists, artifacts are garbage.
     let torn = scratch_dir("fail-torn");
@@ -308,7 +311,10 @@ fn failed_reload_leaves_the_prior_generation_serving() {
     let Response::Err(reason) = ask(&mut c, &corrupt) else {
         panic!("reload of a torn snapshot must fail");
     };
-    assert!(reason.starts_with("reload-failed"), "got: {reason}");
+    assert!(
+        reason.to_string().starts_with("reload-failed"),
+        "got: {reason}"
+    );
 
     // Still generation 1, still answering the old rankings.
     let Response::Topics { ranked, .. } = ask(&mut c, &query(PROBE_USER, K, "query-0")) else {

@@ -125,7 +125,7 @@ fn serve_answers_queries_identical_to_offline_and_drains() {
                     }
                     Response::Err(reason) => {
                         // Shedding is legal under burst; anything else is not.
-                        assert_eq!(reason, "overloaded", "thread {t}: {reason}")
+                        assert_eq!(reason.to_string(), "overloaded", "thread {t}: {reason}")
                     }
                     other => panic!("thread {t}: unexpected reply {other:?}"),
                 }
@@ -185,7 +185,7 @@ fn panicking_query_reports_internal_and_the_daemon_keeps_serving() {
     let Response::Err(reason) = ask(&mut c, &query(5, 5, "query-0")) else {
         panic!("poisoned query must error");
     };
-    assert!(reason.starts_with("internal"), "got: {reason}");
+    assert!(reason.to_string().starts_with("internal"), "got: {reason}");
 
     // The sole worker must still answer (caught panic or respawn).
     for user in [0u32, 7, 123] {
@@ -249,10 +249,10 @@ fn budget_expiry_cancels_mid_search_and_frees_the_worker() {
     c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
     let started = std::time::Instant::now();
-    assert_eq!(
+    assert!(matches!(
         ask(&mut c, &query(7, 5, "query-0")),
-        Response::Err("timeout".to_string())
-    );
+        Response::Err(reason) if reason.to_string() == "timeout"
+    ));
     let waited = started.elapsed();
     assert!(
         waited < Duration::from_millis(2_000),
@@ -264,7 +264,9 @@ fn budget_expiry_cancels_mid_search_and_frees_the_worker() {
     loop {
         match ask(&mut c, &query(3, 5, "query-0")) {
             Response::Topics { .. } => break,
-            Response::Err(reason) => assert_eq!(reason, "timeout", "unexpected: {reason}"),
+            Response::Err(reason) => {
+                assert_eq!(reason.to_string(), "timeout", "unexpected: {reason}");
+            }
             other => panic!("unexpected reply {other:?}"),
         }
         assert!(
@@ -532,7 +534,7 @@ fn serve_sheds_or_answers_under_tiny_queue() {
             match ask(&mut c, &query(t % 50, 5, "query-0")) {
                 Response::Topics { .. } => (1u32, 0u32),
                 Response::Err(reason) => {
-                    assert_eq!(reason, "overloaded");
+                    assert_eq!(reason.to_string(), "overloaded");
                     (0, 1)
                 }
                 other => panic!("unexpected reply {other:?}"),

@@ -1,61 +1,13 @@
-//! Cross-file contract rules: the workspace analyzed as a whole, over the
-//! [`crate::extract`] item layer.
+//! The cross-file contract rule: the workspace analyzed as a whole, over
+//! the [`crate::extract`] item layer.
 //!
-//! - **L6 wire-contract drift** — every STATS key and Prometheus series
-//!   the server emits must be pinned in the golden wire test and
-//!   documented (in backticks) in README/DESIGN — and vice versa: a pinned
-//!   name nothing emits is a dead wire key.
-//! - **L7 taxonomy exhaustiveness** — every `StaleReason` variant has a
-//!   kebab wire rendering, a parse arm, and a STATS counter; every
-//!   `SearchError` variant has a `Display` rendering and a server-side
-//!   mapping onto the ERR taxonomy; every literal handed to
-//!   `Response::Err` starts with a declared taxonomy word, and each word
-//!   is documented and counted.
 //! - **L8 static lock-order** — the acquisition graph of the named locks
 //!   (direct nesting plus an intra-crate call-graph approximation) must be
 //!   acyclic and must not contradict the declared engine→cache order.
-//!
-//! The emitter/golden/doc locations below are themselves part of the
-//! contract: if a named fn or const disappears, the rule reports the
-//! absence instead of silently passing.
 
 use crate::extract::{Acquisition, FileIndex};
-use crate::lexer::find_token;
 use crate::rules::Violation;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Functions whose string literals are the STATS wire keys.
-const STATS_EMITTERS: &[(&str, &str)] = &[
-    ("crates/server/src/metrics.rs", "snapshot"),
-    ("crates/server/src/cache.rs", "snapshot"),
-    ("crates/server/src/state.rs", "stats"),
-];
-
-/// Functions whose `pit_…` string literals are the Prometheus series.
-const PROM_EMITTERS: &[(&str, &str)] = &[
-    ("crates/server/src/metrics.rs", "render_prometheus"),
-    ("crates/server/src/state.rs", "metrics_text"),
-];
-
-/// Where the wire registry is pinned.
-const GOLDEN_FILE: &str = "crates/server/tests/golden_wire.rs";
-const GOLDEN_STATS: &str = "STATS_KEYS";
-const GOLDEN_METRICS: &str = "METRIC_NAMES";
-
-/// The ERR reason taxonomy (first word of every `ERR` reply) and the
-/// Metrics counter each class must bump. `shutting-down` is deliberately
-/// uncounted: it is the server's own lifecycle, not an anomaly.
-const ERR_TAXONOMY: &[(&str, Option<&str>)] = &[
-    ("timeout", Some("timeouts")),
-    ("overloaded", Some("shed")),
-    ("malformed", Some("errors")),
-    ("internal", Some("internal_errors")),
-    ("shutting-down", None),
-    ("reload-failed", Some("reload_failures")),
-];
-
-/// Where the taxonomy is documented: the protocol module's doc comments.
-const TAXONOMY_DOC_FILE: &str = "crates/server/src/protocol.rs";
 
 /// The declared lock order (DESIGN §10/§14): a thread holding the first
 /// lock may take the second, never the reverse.
@@ -99,17 +51,14 @@ const UNRESOLVABLE_METHODS: &[&str] = &[
     "unlink",
 ];
 
-/// Run every contract rule over the workspace. `docs` holds the prose
-/// documents (`README.md`, `DESIGN.md`) the wire registry must appear in.
-/// Vendored sources are out of contract scope.
-pub fn check(files: &[FileIndex], docs: &[(String, String)]) -> Vec<Violation> {
+/// Run the contract rule over the workspace. Vendored sources are out of
+/// contract scope.
+pub fn check(files: &[FileIndex]) -> Vec<Violation> {
     let files: Vec<&FileIndex> = files
         .iter()
         .filter(|f| !f.rel.starts_with("vendor/"))
         .collect();
     let mut out = Vec::new();
-    let stats_keys = l6_wire_drift(&files, docs, &mut out);
-    l7_taxonomy(&files, &stats_keys, &mut out);
     l8_lock_order(&files, &mut out);
     out
 }
@@ -125,463 +74,6 @@ fn violation(rule: &'static str, file: &FileIndex, line0: usize, message: String
             .map(|l| l.raw.clone())
             .unwrap_or_default(),
         message,
-    }
-}
-
-fn find_file<'a>(files: &[&'a FileIndex], rel: &str) -> Option<&'a FileIndex> {
-    files.iter().find(|f| f.rel == rel).copied()
-}
-
-/// A STATS wire key: `snake_case`, starting with a letter.
-fn is_stats_key(s: &str) -> bool {
-    s.starts_with(|c: char| c.is_ascii_lowercase())
-        && s.chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-}
-
-/// A Prometheus series of ours.
-fn is_prom_name(s: &str) -> bool {
-    s.starts_with("pit_") && is_stats_key(s)
-}
-
-/// Name → first emit/pin site, collected from the string literals inside
-/// the named fns. Missing emitters are reported — a renamed fn must not
-/// silently shrink the contract.
-fn collect_names(
-    files: &[&FileIndex],
-    emitters: &[(&str, &str)],
-    filter: fn(&str) -> bool,
-    out: &mut Vec<Violation>,
-) -> BTreeMap<String, (String, usize)> {
-    let mut names = BTreeMap::new();
-    for (rel, fn_name) in emitters {
-        let Some(file) = find_file(files, rel) else {
-            continue; // fixture workspaces carry only the files under test
-        };
-        let Some(span) = file.find_fn(fn_name) else {
-            out.push(violation(
-                "L6",
-                file,
-                0,
-                format!(
-                    "contract emitter `fn {fn_name}` not found in {rel} — renamed? \
-                     update contracts.rs so the wire registry stays watched"
-                ),
-            ));
-            continue;
-        };
-        for (s, line) in file.strings_in_span(span.start, span.end) {
-            if filter(s) {
-                names
-                    .entry(s.to_string())
-                    .or_insert_with(|| (file.rel.clone(), line));
-            }
-        }
-    }
-    names
-}
-
-/// The names pinned in a golden const's span.
-fn collect_pinned(
-    golden: &FileIndex,
-    const_name: &str,
-    filter: fn(&str) -> bool,
-    out: &mut Vec<Violation>,
-) -> BTreeMap<String, usize> {
-    let Some(span) = golden.find_const(const_name) else {
-        out.push(violation(
-            "L6",
-            golden,
-            0,
-            format!(
-                "golden registry `const {const_name}` not found in {} — the wire \
-                 contract has lost its pin",
-                golden.rel
-            ),
-        ));
-        return BTreeMap::new();
-    };
-    let mut pinned = BTreeMap::new();
-    for (s, line) in golden.strings_in_span(span.start, span.end) {
-        if filter(s) {
-            pinned.entry(s.to_string()).or_insert(line);
-        }
-    }
-    pinned
-}
-
-/// Is `name` documented — in backticks — in any of the docs?
-fn documented(docs: &[(String, String)], name: &str) -> bool {
-    let needle = format!("`{name}`");
-    docs.iter().any(|(_, text)| text.contains(&needle))
-}
-
-/// L6: emitted ↔ pinned ↔ documented, both wire surfaces. Returns the
-/// emitted STATS key set for L7's counter checks.
-fn l6_wire_drift(
-    files: &[&FileIndex],
-    docs: &[(String, String)],
-    out: &mut Vec<Violation>,
-) -> BTreeSet<String> {
-    let Some(golden) = find_file(files, GOLDEN_FILE) else {
-        // Fixture workspaces without a golden file skip L6 entirely.
-        return BTreeSet::new();
-    };
-    let doc_names: Vec<&str> = docs.iter().map(|(n, _)| n.as_str()).collect();
-    #[allow(clippy::type_complexity)]
-    let surfaces: [(&str, &[(&str, &str)], fn(&str) -> bool, &str); 2] = [
-        ("STATS key", STATS_EMITTERS, is_stats_key, GOLDEN_STATS),
-        (
-            "Prometheus series",
-            PROM_EMITTERS,
-            is_prom_name,
-            GOLDEN_METRICS,
-        ),
-    ];
-    let mut stats_keys = BTreeSet::new();
-    for (what, emitters, filter, golden_const) in surfaces {
-        let emitted = collect_names(files, emitters, filter, out);
-        let pinned = collect_pinned(golden, golden_const, filter, out);
-        if what == "STATS key" {
-            stats_keys = emitted.keys().cloned().collect();
-        }
-        if pinned.is_empty() {
-            continue; // already reported the missing const
-        }
-        for (name, (rel, line)) in &emitted {
-            if !pinned.contains_key(name) {
-                let file = find_file(files, rel).expect("emitting file is in the set");
-                out.push(violation(
-                    "L6",
-                    file,
-                    *line,
-                    format!(
-                        "{what} `{name}` is emitted here but not pinned in \
-                         {GOLDEN_FILE} ({golden_const}) — add it to the golden \
-                         registry in the same change"
-                    ),
-                ));
-            }
-            if !documented(docs, name) {
-                let file = find_file(files, rel).expect("emitting file is in the set");
-                out.push(violation(
-                    "L6",
-                    file,
-                    *line,
-                    format!(
-                        "{what} `{name}` is emitted here but documented in none of \
-                         {doc_names:?} — operators read the docs, not the source"
-                    ),
-                ));
-            }
-        }
-        for (name, line) in &pinned {
-            if !emitted.contains_key(name) {
-                out.push(violation(
-                    "L6",
-                    golden,
-                    *line,
-                    format!(
-                        "{what} `{name}` is pinned in the golden registry but no \
-                         emitter produces it — a dead wire key; delete the pin or \
-                         restore the emitter"
-                    ),
-                ));
-            }
-        }
-    }
-    stats_keys
-}
-
-fn kebab_case(variant: &str) -> String {
-    sep_case(variant, '-')
-}
-
-fn snake_case(variant: &str) -> String {
-    sep_case(variant, '_')
-}
-
-fn sep_case(variant: &str, sep: char) -> String {
-    let mut out = String::new();
-    for (i, c) in variant.chars().enumerate() {
-        if c.is_ascii_uppercase() && i > 0 {
-            out.push(sep);
-        }
-        out.push(c.to_ascii_lowercase());
-    }
-    out
-}
-
-/// Does any non-test line of `file` within the fn `fn_name` contain the
-/// string literal `lit`?
-fn fn_span_has_literal(file: &FileIndex, fn_name: &str, lit: &str) -> bool {
-    file.find_fn(fn_name)
-        .map(|span| {
-            file.strings_in_span(span.start, span.end)
-                .iter()
-                .any(|(s, _)| *s == lit)
-        })
-        .unwrap_or(false)
-}
-
-/// L7: taxonomy exhaustiveness for `StaleReason`, `SearchError`, and the
-/// ERR word set.
-fn l7_taxonomy(files: &[&FileIndex], stats_keys: &BTreeSet<String>, out: &mut Vec<Violation>) {
-    l7_stale_reason(files, stats_keys, out);
-    l7_search_error(files, out);
-    l7_err_words(files, stats_keys, out);
-}
-
-fn l7_stale_reason(files: &[&FileIndex], stats_keys: &BTreeSet<String>, out: &mut Vec<Violation>) {
-    const CACHE: &str = "crates/server/src/cache.rs";
-    let Some(file) = find_file(files, CACHE) else {
-        return;
-    };
-    let Some(en) = file.find_enum("StaleReason") else {
-        out.push(violation(
-            "L7",
-            file,
-            0,
-            "enum StaleReason not found in cache.rs — renamed? update contracts.rs".into(),
-        ));
-        return;
-    };
-    let has_from_str = file.find_fn("from_str").is_some();
-    if !has_from_str {
-        out.push(violation(
-            "L7",
-            file,
-            en.start,
-            "StaleReason has no `from_str` parse arm — wire renderings must \
-             round-trip (operator tooling parses the `reason` label back)"
-                .into(),
-        ));
-    }
-    for (variant, line) in &en.variants {
-        let kebab = kebab_case(variant);
-        if !fn_span_has_literal(file, "as_str", &kebab) {
-            out.push(violation(
-                "L7",
-                file,
-                *line,
-                format!(
-                    "StaleReason::{variant} has no wire rendering: expected literal \
-                     `\"{kebab}\"` inside `fn as_str`"
-                ),
-            ));
-        }
-        if has_from_str && !fn_span_has_literal(file, "from_str", &kebab) {
-            out.push(violation(
-                "L7",
-                file,
-                *line,
-                format!(
-                    "StaleReason::{variant} has no parse arm: expected literal \
-                     `\"{kebab}\"` inside `fn from_str`"
-                ),
-            ));
-        }
-        let counter = format!("cache_stale_{}", snake_case(variant));
-        if !stats_keys.is_empty() && !stats_keys.contains(&counter) {
-            out.push(violation(
-                "L7",
-                file,
-                *line,
-                format!(
-                    "StaleReason::{variant} has no metrics counter: expected STATS \
-                     key `{counter}` from the cache snapshot"
-                ),
-            ));
-        }
-    }
-}
-
-fn l7_search_error(files: &[&FileIndex], out: &mut Vec<Violation>) {
-    const CANCEL: &str = "crates/search/src/cancel.rs";
-    let Some(file) = find_file(files, CANCEL) else {
-        return;
-    };
-    let Some(en) = file.find_enum("SearchError") else {
-        out.push(violation(
-            "L7",
-            file,
-            0,
-            "enum SearchError not found in cancel.rs — renamed? update contracts.rs".into(),
-        ));
-        return;
-    };
-    for (variant, line) in &en.variants {
-        let token = format!("SearchError::{variant}");
-        let in_display = file.find_fn("fmt").is_some_and(|span| {
-            (span.start..=span.end).any(|i| find_token(&file.lines[i].code, &token).is_some())
-        });
-        if !in_display {
-            out.push(violation(
-                "L7",
-                file,
-                *line,
-                format!(
-                    "SearchError::{variant} has no Display rendering: no `{token}` \
-                     arm inside `fn fmt`"
-                ),
-            ));
-        }
-        let mapped = files.iter().any(|f| {
-            f.rel.starts_with("crates/server/src/")
-                && f.lines
-                    .iter()
-                    .enumerate()
-                    .any(|(i, l)| !f.in_test[i] && find_token(&l.code, &token).is_some())
-        });
-        if !mapped {
-            out.push(violation(
-                "L7",
-                file,
-                *line,
-                format!(
-                    "SearchError::{variant} is never mapped by the server: no \
-                     `{token}` match in crates/server/src — a new error variant \
-                     must be translated onto the ERR taxonomy (and counted)"
-                ),
-            ));
-        }
-    }
-}
-
-/// The first string literal syntactically inside the `Response::Err(…)`
-/// call starting on line `idx`, scanning at most 3 continuation lines.
-fn err_literal(file: &FileIndex, idx: usize) -> Option<String> {
-    let code = &file.lines[idx].code;
-    let at = code.find("Response::Err(")? + "Response::Err(".len();
-    let mut depth = 1i32;
-    for (li, skip) in (idx..(idx + 4).min(file.lines.len())).map(|li| (li, li == idx)) {
-        let l = &file.lines[li];
-        let start = if skip { at } else { 0 };
-        // Literal contents are blanked in `code`, so every '"' is a
-        // delimiter; the k-th pair on the line is strings[k].
-        let quotes_before = l.code[..start].matches('"').count();
-        let mut quotes = quotes_before;
-        for c in l.code[start..].chars() {
-            match c {
-                '"' => {
-                    if quotes.is_multiple_of(2) {
-                        return l.strings.get(quotes / 2).cloned();
-                    }
-                    quotes += 1;
-                }
-                '(' | '[' | '{' => depth += 1,
-                ')' | ']' | '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return None; // the argument was a variable
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
-fn l7_err_words(files: &[&FileIndex], stats_keys: &BTreeSet<String>, out: &mut Vec<Violation>) {
-    let server_files: Vec<&FileIndex> = files
-        .iter()
-        .copied()
-        .filter(|f| f.rel.starts_with("crates/server/src/"))
-        .collect();
-    if server_files.is_empty() {
-        return;
-    }
-    let words: Vec<&str> = ERR_TAXONOMY.iter().map(|(w, _)| *w).collect();
-
-    // Direction 1: every literal handed to Response::Err starts with a
-    // declared taxonomy word.
-    for &f in &server_files {
-        if crate::rules::is_test_path(&f.rel) {
-            continue;
-        }
-        for idx in 0..f.lines.len() {
-            if f.in_test[idx] {
-                continue;
-            }
-            let Some(lit) = err_literal(f, idx) else {
-                continue;
-            };
-            let word = lit
-                .split(|c: char| c == ':' || c.is_whitespace())
-                .next()
-                .unwrap_or("");
-            if !words.contains(&word) {
-                out.push(violation(
-                    "L7",
-                    f,
-                    idx,
-                    format!(
-                        "ERR reason `{lit}` starts with undeclared taxonomy word \
-                         `{word}` — the wire contract admits only {words:?}; extend \
-                         the taxonomy (docs + counter) or reuse an existing class"
-                    ),
-                ));
-            }
-        }
-    }
-
-    // Direction 2: every declared word is actually rendered somewhere, is
-    // documented in the protocol module, and its counter is emitted.
-    let taxonomy_doc = find_file(files, TAXONOMY_DOC_FILE);
-    for (word, counter) in ERR_TAXONOMY {
-        let rendered = server_files.iter().any(|f| {
-            !crate::rules::is_test_path(&f.rel)
-                && f.lines.iter().enumerate().any(|(i, l)| {
-                    !f.in_test[i]
-                        && l.strings.iter().any(|s| {
-                            s == word
-                                || s.starts_with(&format!("{word}:"))
-                                || s.starts_with(&format!("{word} "))
-                        })
-                })
-        });
-        if !rendered {
-            let f = server_files[0];
-            out.push(violation(
-                "L7",
-                f,
-                0,
-                format!(
-                    "taxonomy word `{word}` is declared but never rendered: no \
-                     server-side string literal starts with it — dead error class?"
-                ),
-            ));
-        }
-        if let Some(doc) = taxonomy_doc {
-            let in_comments = doc.lines.iter().any(|l| l.comment.contains(word));
-            if !in_comments {
-                out.push(violation(
-                    "L7",
-                    doc,
-                    0,
-                    format!(
-                        "taxonomy word `{word}` is not documented in the protocol \
-                         module's comments — the ERR taxonomy table must list it"
-                    ),
-                ));
-            }
-        }
-        if let Some(counter) = counter {
-            if !stats_keys.is_empty() && !stats_keys.contains(*counter) {
-                let f = server_files[0];
-                out.push(violation(
-                    "L7",
-                    f,
-                    0,
-                    format!(
-                        "taxonomy word `{word}` maps to counter `{counter}`, which \
-                         is not an emitted STATS key — errors of this class would \
-                         be invisible to operators"
-                    ),
-                ));
-            }
-        }
     }
 }
 

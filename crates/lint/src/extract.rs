@@ -1,34 +1,14 @@
-//! Item extraction on top of the line lexer — the "parser" the contract
-//! rules (L6–L9) run on. Deliberately shallow: spans are found by keyword
+//! Item extraction on top of the line lexer — the "parser" the lock-order
+//! rule (L8) runs on. Deliberately shallow: spans are found by keyword
 //! token + brace matching over the comment-stripped, literal-blanked code,
 //! which is exactly as much structure as the rules need. What this layer
-//! can and cannot see is documented in DESIGN.md §15; the rules are written
-//! so that blind spots fail loud (a renamed fn makes the contract check
-//! report the *absence*, not silently pass).
+//! can and cannot see is documented in DESIGN.md §15.
 
 use crate::lexer::{lex, test_regions, SourceLine};
 
 /// A `fn` item: name plus 0-based inclusive line span of signature + body.
 #[derive(Debug, Clone)]
 pub struct FnSpan {
-    pub name: String,
-    pub start: usize,
-    pub end: usize,
-}
-
-/// An `enum` item with its variant names and their 0-based lines.
-#[derive(Debug, Clone)]
-pub struct EnumSpan {
-    pub name: String,
-    pub start: usize,
-    pub end: usize,
-    pub variants: Vec<(String, usize)>,
-}
-
-/// A `const` item: name plus the line span through its terminating `;`
-/// (so a const array's element literals all fall inside the span).
-#[derive(Debug, Clone)]
-pub struct ConstSpan {
     pub name: String,
     pub start: usize,
     pub end: usize,
@@ -59,7 +39,7 @@ pub struct Acquisition {
     pub col: usize,
 }
 
-/// Everything the contract rules need to know about one file.
+/// Everything the lock-order rule needs to know about one file.
 #[derive(Debug)]
 pub struct FileIndex {
     /// Workspace-relative path, forward slashes.
@@ -68,8 +48,6 @@ pub struct FileIndex {
     /// Per-line: inside a `#[cfg(test)]` / `#[test]` region.
     pub in_test: Vec<bool>,
     pub fns: Vec<FnSpan>,
-    pub enums: Vec<EnumSpan>,
-    pub consts: Vec<ConstSpan>,
     pub locks: Vec<LockCtor>,
     pub acquisitions: Vec<Acquisition>,
 }
@@ -81,55 +59,15 @@ impl FileIndex {
         let in_test = test_regions(&lines);
         let map = CodeMap::build(&lines);
         let fns = find_fns(&map);
-        let enums = find_enums(&map);
-        let consts = find_consts(&map);
         let (locks, acquisitions) = find_locks(&lines);
         FileIndex {
             rel: rel.to_string(),
             lines,
             in_test,
             fns,
-            enums,
-            consts,
             locks,
             acquisitions,
         }
-    }
-
-    /// All string literals on non-test lines within `[start, end]`, with
-    /// their 0-based lines.
-    pub fn strings_in_span(&self, start: usize, end: usize) -> Vec<(&str, usize)> {
-        let mut out = Vec::new();
-        for idx in start..=end.min(self.lines.len().saturating_sub(1)) {
-            if self.in_test[idx] {
-                continue;
-            }
-            for s in &self.lines[idx].strings {
-                out.push((s.as_str(), idx));
-            }
-        }
-        out
-    }
-
-    /// The first non-test `fn` with this name, if any.
-    pub fn find_fn(&self, name: &str) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .find(|f| f.name == name && !self.in_test[f.start])
-    }
-
-    /// The first non-test `const` with this name, if any.
-    pub fn find_const(&self, name: &str) -> Option<&ConstSpan> {
-        self.consts
-            .iter()
-            .find(|c| c.name == name && !self.in_test[c.start])
-    }
-
-    /// The first non-test `enum` with this name, if any.
-    pub fn find_enum(&self, name: &str) -> Option<&EnumSpan> {
-        self.enums
-            .iter()
-            .find(|e| e.name == name && !self.in_test[e.start])
     }
 }
 
@@ -252,106 +190,6 @@ fn find_fns(map: &CodeMap) -> Vec<FnSpan> {
     out
 }
 
-fn find_enums(map: &CodeMap) -> Vec<EnumSpan> {
-    let mut out = Vec::new();
-    for p in keyword_positions(&map.chars, "enum") {
-        let Some((name, name_at)) = ident_after(&map.chars, p + 4) else {
-            continue;
-        };
-        let Some((open, close)) = body_span(&map.chars, name_at) else {
-            continue;
-        };
-        out.push(EnumSpan {
-            variants: enum_variants(map, open, close),
-            name,
-            start: map.line_at(p),
-            end: map.line_at(close),
-        });
-    }
-    out
-}
-
-/// Variant names at brace depth 1 inside an enum body. Skips `#[…]`
-/// attributes; skips past each variant's payload (`(…)` / `{…}` / `= …`)
-/// to the separating comma.
-fn enum_variants(map: &CodeMap, open: usize, close: usize) -> Vec<(String, usize)> {
-    let chars = &map.chars;
-    let mut out = Vec::new();
-    let mut j = open + 1;
-    while j < close {
-        let c = chars[j];
-        if c.is_whitespace() || c == ',' {
-            j += 1;
-            continue;
-        }
-        if c == '#' {
-            // Attribute: skip to its matching `]`.
-            let mut depth = 0i32;
-            while j < close {
-                match chars[j] {
-                    '[' => depth += 1,
-                    ']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            j += 1;
-            continue;
-        }
-        let Some((name, at)) = ident_after(chars, j) else {
-            break;
-        };
-        out.push((name.clone(), map.line_at(at)));
-        // Skip the payload to the next depth-0 comma (or the close).
-        let mut k = at + name.len();
-        let mut depth = 0i32;
-        while k < close {
-            match chars[k] {
-                '(' | '{' | '[' => depth += 1,
-                ')' | '}' | ']' => depth -= 1,
-                ',' if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        j = k + 1;
-    }
-    out
-}
-
-fn find_consts(map: &CodeMap) -> Vec<ConstSpan> {
-    let mut out = Vec::new();
-    for p in keyword_positions(&map.chars, "const") {
-        let Some((name, name_at)) = ident_after(&map.chars, p + 5) else {
-            continue;
-        };
-        // Span through the terminating `;` at bracket depth 0.
-        let mut depth = 0i32;
-        let mut k = name_at;
-        let end = loop {
-            match map.chars.get(k) {
-                None => break k.saturating_sub(1),
-                Some('(') | Some('[') | Some('{') => depth += 1,
-                Some(')') | Some(']') | Some('}') => depth -= 1,
-                Some(';') if depth == 0 => break k,
-                _ => {}
-            }
-            k += 1;
-        };
-        out.push(ConstSpan {
-            name,
-            start: map.line_at(p),
-            end: map.line_at(end),
-        });
-    }
-    out
-}
-
 /// Named-lock constructions and `.lock()`/`.read()`/`.write()` acquisitions,
 /// line by line.
 fn find_locks(lines: &[SourceLine]) -> (Vec<LockCtor>, Vec<Acquisition>) {
@@ -469,33 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_with_payloads_and_attributes() {
-        let src = "#[derive(Debug)]\npub enum E {\n  #[default]\n  Plain,\n  Tuple(u32, String),\n  Struct {\n    field: usize,\n  },\n}\n";
-        let idx = FileIndex::build("x.rs", src);
-        assert_eq!(idx.enums.len(), 1);
-        let v: Vec<_> = idx.enums[0]
-            .variants
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
-        assert_eq!(v, vec!["Plain", "Tuple", "Struct"]);
-    }
-
-    #[test]
-    fn const_spans_reach_the_terminating_semicolon() {
-        let src = "const KEYS: &[&str] = &[\n  \"alpha\",\n  \"beta\",\n];\nfn f() {}\n";
-        let idx = FileIndex::build("x.rs", src);
-        let c = idx.find_const("KEYS").expect("found");
-        assert_eq!((c.start, c.end), (0, 3));
-        let strings: Vec<_> = idx
-            .strings_in_span(c.start, c.end)
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(strings, vec!["alpha", "beta"]);
-    }
-
-    #[test]
     fn lock_ctors_capture_binding_and_name_across_lines() {
         let src = "Self {\n  engine: RwLock::named(\n    \"server.state.engine\",\n    initial,\n  ),\n  staged: Mutex::named(\"server.state.staged\", None),\n}\n";
         let idx = FileIndex::build("x.rs", src);
@@ -520,13 +331,5 @@ mod tests {
         );
         assert_eq!(idx.acquisitions[2].binding, "inner");
         assert_eq!(idx.acquisitions[2].guard, None);
-    }
-
-    #[test]
-    fn test_region_fns_are_excluded_from_find_fn() {
-        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n  fn live() {}\n}\n";
-        let idx = FileIndex::build("x.rs", src);
-        let f = idx.find_fn("live").expect("found");
-        assert_eq!(f.start, 0);
     }
 }

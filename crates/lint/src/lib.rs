@@ -3,11 +3,9 @@
 //! Rules clippy cannot express because they encode *this repo's* invariants:
 //! which crates must never panic (the concurrent serving stack), which must
 //! be deterministic (the offline engine), which atomics orderings are
-//! audited, where untrusted lengths must be bounded before arithmetic — and,
-//! since v2, cross-file contracts: every wire-visible metrics name must be
-//! pinned and documented ([`contracts`] L6), every error-taxonomy variant
-//! must round-trip the wire and be counted (L7), and named locks must be
-//! acquired in one global order (L8). Run it as
+//! audited, where untrusted lengths must be bounded before arithmetic — and
+//! one cross-file contract: named locks must be acquired in one global
+//! order ([`contracts`] L8). Run it as
 //! `cargo run -p pit-lint -- --deny`; CI treats a non-zero exit as a build
 //! failure.
 //!
@@ -58,10 +56,6 @@ impl LintReport {
 /// Directories never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "node_modules"];
 
-/// Markdown files whose backticked mentions count as wire-name
-/// documentation for the L6 contract check.
-const DOC_FILES: &[&str] = &["README.md", "DESIGN.md"];
-
 /// Recursively collect every `.rs` file under `root`, sorted for stable
 /// output.
 pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -88,7 +82,7 @@ pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Lint every `.rs` file under `root` against `allow`: lex and index each
 /// file once, run the per-file rules (L1–L5, L9) and the cross-file
-/// contract rules (L6–L8), then apply the allowlist to the combined set.
+/// lock-order rule (L8), then apply the allowlist to the combined set.
 pub fn run(root: &Path, allow: &Allowlist) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let mut indices = Vec::new();
@@ -105,13 +99,7 @@ pub fn run(root: &Path, allow: &Allowlist) -> std::io::Result<LintReport> {
         indices.push(index);
         report.files_scanned += 1;
     }
-    let mut docs = Vec::new();
-    for name in DOC_FILES {
-        if let Ok(text) = fs::read_to_string(root.join(name)) {
-            docs.push(((*name).to_string(), text));
-        }
-    }
-    candidates.extend(contracts::check(&indices, &docs));
+    candidates.extend(contracts::check(&indices));
     candidates.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
 
     let applied = allow.apply(candidates);

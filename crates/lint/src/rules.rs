@@ -1,7 +1,7 @@
 //! The per-file rules. Each works on [`crate::lexer::SourceLine`]s —
 //! comment- and string-aware, so `// panic!` and `"unwrap()"` never match —
 //! and skips test regions where the rule is about production behaviour.
-//! The cross-file contract rules (L6–L8) live in [`crate::contracts`].
+//! The cross-file lock-order rule (L8) lives in [`crate::contracts`].
 //!
 //! - **L1** — no panic-capable calls (`unwrap`/`expect`/`panic!`/…) in the
 //!   serving stack (`crates/server/src`, `crates/search/src`,
@@ -120,7 +120,7 @@ pub fn check_file(rel: &str, source: &str) -> Vec<Violation> {
 }
 
 /// [`check_file`] over already-lexed lines, so callers that also extract
-/// items (the contract rules) lex each file once.
+/// items (the lock-order rule) lex each file once.
 pub fn check_lines(rel: &str, lines: &[SourceLine], in_test: &[bool]) -> Vec<Violation> {
     let test_file = is_test_path(rel);
     let mut violations = Vec::new();

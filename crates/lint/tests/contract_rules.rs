@@ -1,26 +1,20 @@
-//! Seeded-violation fixtures for the contract rules (L6–L9): each test
+//! Seeded-violation fixtures for the contract rules (L8, L9): each test
 //! builds a tiny synthetic workspace containing exactly the defect the
 //! rule exists for and asserts the rule fires. A green `--deny` run on the
 //! real workspace is meaningful only because these prove the checks are
-//! armed. Fixtures assert on their own rule id — a partial fixture
-//! workspace legitimately trips *other* rules (e.g. a lone server file has
-//! no rendered taxonomy words), and that noise is not under test here.
+//! armed.
 
 use pit_lint::contracts;
 use pit_lint::extract::FileIndex;
 use pit_lint::rules;
 use pit_lint::rules::Violation;
 
-fn check(files: &[(&str, &str)], docs: &[(&str, &str)]) -> Vec<Violation> {
+fn check(files: &[(&str, &str)]) -> Vec<Violation> {
     let indices: Vec<FileIndex> = files
         .iter()
         .map(|(rel, src)| FileIndex::build(rel, src))
         .collect();
-    let docs: Vec<(String, String)> = docs
-        .iter()
-        .map(|(n, t)| (n.to_string(), t.to_string()))
-        .collect();
-    contracts::check(&indices, &docs)
+    contracts::check(&indices)
 }
 
 fn only(violations: &[Violation], rule: &str) -> Vec<Violation> {
@@ -29,216 +23,6 @@ fn only(violations: &[Violation], rule: &str) -> Vec<Violation> {
         .filter(|v| v.rule == rule)
         .cloned()
         .collect()
-}
-
-/// L7 violations about `StaleReason` specifically (a fixture containing a
-/// lone server file legitimately also trips the taxonomy-word checks).
-fn stale_reason_only(violations: &[Violation]) -> Vec<Violation> {
-    violations
-        .iter()
-        .filter(|v| v.rule == "L7" && v.message.contains("StaleReason"))
-        .cloned()
-        .collect()
-}
-
-// ───────────────────────── L6: wire-contract drift ─────────────────────────
-
-const METRICS_RS: &str = "crates/server/src/metrics.rs";
-const GOLDEN_RS: &str = "crates/server/tests/golden_wire.rs";
-
-fn metrics_src(stats: &[&str], prom: &[&str]) -> String {
-    let stats: String = stats
-        .iter()
-        .map(|k| format!("out.push(\"{k}\");\n"))
-        .collect();
-    let prom: String = prom
-        .iter()
-        .map(|k| format!("body.push(\"{k}\");\n"))
-        .collect();
-    format!(
-        "impl Metrics {{\n  pub fn snapshot(&self) -> Vec<&str> {{\n    let mut out = Vec::new();\n{stats}    out\n  }}\n  pub fn render_prometheus(&self) -> Vec<&str> {{\n    let mut body = Vec::new();\n{prom}    body\n  }}\n}}\n"
-    )
-}
-
-fn golden_src(stats: &[&str], prom: &[&str]) -> String {
-    let stats: String = stats.iter().map(|k| format!("  \"{k}\",\n")).collect();
-    let prom: String = prom
-        .iter()
-        .map(|k| format!("  (\"{k}\", \"counter\"),\n"))
-        .collect();
-    format!(
-        "const STATS_KEYS: &[&str] = &[\n{stats}];\nconst METRIC_NAMES: &[(&str, &str)] = &[\n{prom}];\n"
-    )
-}
-
-#[test]
-fn l6_emitted_but_unpinned_key_fires() {
-    let metrics = metrics_src(&["queries", "sneaky_key"], &["pit_queries_total"]);
-    let golden = golden_src(&["queries"], &["pit_queries_total"]);
-    let v = check(
-        &[(METRICS_RS, &metrics), (GOLDEN_RS, &golden)],
-        &[("README.md", "`queries` `sneaky_key` `pit_queries_total`")],
-    );
-    let l6 = only(&v, "L6");
-    assert_eq!(l6.len(), 1, "{l6:#?}");
-    assert!(l6[0].message.contains("`sneaky_key`"), "{}", l6[0].message);
-    assert!(l6[0].message.contains("not pinned"), "{}", l6[0].message);
-    assert_eq!(l6[0].path, METRICS_RS, "blames the emit site");
-}
-
-#[test]
-fn l6_pinned_but_dead_key_fires() {
-    let metrics = metrics_src(&["queries"], &["pit_queries_total"]);
-    let golden = golden_src(&["queries", "dead_key"], &["pit_queries_total"]);
-    let v = check(
-        &[(METRICS_RS, &metrics), (GOLDEN_RS, &golden)],
-        &[("README.md", "`queries` `dead_key` `pit_queries_total`")],
-    );
-    let l6 = only(&v, "L6");
-    assert_eq!(l6.len(), 1, "{l6:#?}");
-    assert!(l6[0].message.contains("`dead_key`"), "{}", l6[0].message);
-    assert!(l6[0].message.contains("no emitter"), "{}", l6[0].message);
-    assert_eq!(l6[0].path, GOLDEN_RS, "blames the stale pin");
-}
-
-#[test]
-fn l6_undocumented_series_fires_for_both_surfaces() {
-    let metrics = metrics_src(&["queries"], &["pit_queries_total"]);
-    let golden = golden_src(&["queries"], &["pit_queries_total"]);
-    let v = check(
-        &[(METRICS_RS, &metrics), (GOLDEN_RS, &golden)],
-        &[(
-            "README.md",
-            "`queries` only — the Prometheus name is missing",
-        )],
-    );
-    let l6 = only(&v, "L6");
-    assert_eq!(l6.len(), 1, "{l6:#?}");
-    assert!(
-        l6[0].message.contains("`pit_queries_total`"),
-        "{}",
-        l6[0].message
-    );
-    assert!(
-        l6[0].message.contains("documented in none"),
-        "{}",
-        l6[0].message
-    );
-}
-
-#[test]
-fn l6_missing_golden_const_is_reported_not_skipped() {
-    let metrics = metrics_src(&["queries"], &["pit_queries_total"]);
-    let golden = "const SOMETHING_ELSE: &[&str] = &[];\n";
-    let v = check(
-        &[(METRICS_RS, &metrics), (GOLDEN_RS, golden)],
-        &[("README.md", "`queries` `pit_queries_total`")],
-    );
-    let l6 = only(&v, "L6");
-    assert!(
-        l6.iter().any(|v| v.message.contains("STATS_KEYS")),
-        "a vanished golden registry must be loud: {l6:#?}"
-    );
-}
-
-#[test]
-fn l6_aligned_workspace_is_clean() {
-    let metrics = metrics_src(&["queries"], &["pit_queries_total"]);
-    let golden = golden_src(&["queries"], &["pit_queries_total"]);
-    let v = check(
-        &[(METRICS_RS, &metrics), (GOLDEN_RS, &golden)],
-        &[(
-            "DESIGN.md",
-            "`queries` and `pit_queries_total` are documented",
-        )],
-    );
-    assert!(only(&v, "L6").is_empty(), "{v:#?}");
-}
-
-// ──────────────────── L7: error-taxonomy exhaustiveness ────────────────────
-
-const CACHE_RS: &str = "crates/server/src/cache.rs";
-const CANCEL_RS: &str = "crates/search/src/cancel.rs";
-
-#[test]
-fn l7_stale_reason_without_from_str_fires() {
-    let cache = "pub enum StaleReason {\n  EdgeAdded,\n}\nimpl StaleReason {\n  pub fn as_str(self) -> &'static str {\n    \"edge-added\"\n  }\n}\n";
-    let v = check(&[(CACHE_RS, cache)], &[]);
-    let l7 = stale_reason_only(&v);
-    assert_eq!(l7.len(), 1, "{l7:#?}");
-    assert!(l7[0].message.contains("no `from_str`"), "{}", l7[0].message);
-}
-
-#[test]
-fn l7_variant_missing_parse_arm_fires() {
-    let cache = "pub enum StaleReason {\n  EdgeAdded,\n  FullReload,\n}\nimpl StaleReason {\n  pub fn as_str(self) -> &'static str {\n    match self { Self::EdgeAdded => \"edge-added\", Self::FullReload => \"full-reload\" }\n  }\n  pub fn from_str(s: &str) -> Option<Self> {\n    match s { \"edge-added\" => Some(Self::EdgeAdded), _ => None }\n  }\n}\n";
-    let v = check(&[(CACHE_RS, cache)], &[]);
-    let l7 = stale_reason_only(&v);
-    assert_eq!(l7.len(), 1, "{l7:#?}");
-    assert!(l7[0].message.contains("FullReload"), "{}", l7[0].message);
-    assert!(l7[0].message.contains("no parse arm"), "{}", l7[0].message);
-}
-
-#[test]
-fn l7_variant_missing_wire_rendering_fires() {
-    let cache = "pub enum StaleReason {\n  EdgeAdded,\n}\nimpl StaleReason {\n  pub fn as_str(self) -> &'static str {\n    \"something-else\"\n  }\n  pub fn from_str(s: &str) -> Option<Self> {\n    match s { \"edge-added\" => Some(Self::EdgeAdded), _ => None }\n  }\n}\n";
-    let v = check(&[(CACHE_RS, cache)], &[]);
-    let l7 = stale_reason_only(&v);
-    assert_eq!(l7.len(), 1, "{l7:#?}");
-    assert!(
-        l7[0].message.contains("no wire rendering"),
-        "{}",
-        l7[0].message
-    );
-}
-
-#[test]
-fn l7_unmapped_search_error_variant_fires() {
-    // `Cancelled` is rendered and mapped by the server; `NewThing` is
-    // neither: two violations for it, none for Cancelled.
-    let cancel = "pub enum SearchError {\n  Cancelled,\n  NewThing,\n}\nimpl fmt::Display for SearchError {\n  fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {\n    match self { SearchError::Cancelled => write!(f, \"cancelled\"), _ => Ok(()) }\n  }\n}\n";
-    let server =
-        "fn map(e: SearchError) {\n  match e { SearchError::Cancelled => (), _ => () }\n}\n";
-    let v = check(
-        &[(CANCEL_RS, cancel), ("crates/server/src/conn.rs", server)],
-        &[],
-    );
-    let l7: Vec<Violation> = only(&v, "L7")
-        .into_iter()
-        .filter(|v| v.message.contains("SearchError"))
-        .collect();
-    assert_eq!(l7.len(), 2, "{l7:#?}");
-    assert!(l7.iter().all(|v| v.message.contains("NewThing")), "{l7:#?}");
-    assert!(l7
-        .iter()
-        .any(|v| v.message.contains("no Display rendering")));
-    assert!(l7.iter().any(|v| v.message.contains("never mapped")));
-}
-
-#[test]
-fn l7_err_reply_with_undeclared_word_fires() {
-    let conn =
-        "fn reply() -> Response {\n  Response::Err(format!(\n    \"weird: {}\", 1,\n  ))\n}\n";
-    let v = check(&[("crates/server/src/conn.rs", conn)], &[]);
-    let l7 = only(&v, "L7");
-    assert!(
-        l7.iter().any(
-            |v| v.message.contains("undeclared taxonomy word") && v.message.contains("`weird`")
-        ),
-        "{l7:#?}"
-    );
-}
-
-#[test]
-fn l7_err_reply_with_declared_word_passes() {
-    let conn = "fn reply() -> Response {\n  Response::Err(\"overloaded\".to_string())\n}\n";
-    let v = check(&[("crates/server/src/conn.rs", conn)], &[]);
-    assert!(
-        !only(&v, "L7")
-            .iter()
-            .any(|v| v.message.contains("undeclared")),
-        "{v:#?}"
-    );
 }
 
 // ─────────────────────────── L8: static lock order ───────────────────────────
@@ -256,7 +40,7 @@ fn l8_direct_declared_order_contradiction_fires() {
     let src = state_src(
         "  fn backward(&self) {\n    let c = self.lru.lock();\n    let slot = self.engine.write();\n  }\n",
     );
-    let v = check(&[(STATE_RS, &src)], &[]);
+    let v = check(&[(STATE_RS, &src)]);
     let l8 = only(&v, "L8");
     assert!(
         l8.iter().any(|v| v.message.contains("contradicts")),
@@ -269,7 +53,7 @@ fn l8_contradiction_through_a_callee_fires() {
     let src = state_src(
         "  fn sneak(&self) {\n    let c = self.lru.lock();\n    self.touch_engine();\n  }\n  fn touch_engine(&self) {\n    let g = self.engine.read();\n  }\n",
     );
-    let v = check(&[(STATE_RS, &src)], &[]);
+    let v = check(&[(STATE_RS, &src)]);
     let l8 = only(&v, "L8");
     assert!(
         l8.iter()
@@ -281,7 +65,7 @@ fn l8_contradiction_through_a_callee_fires() {
 #[test]
 fn l8_cycle_between_locks_fires() {
     let src = "impl S {\n  fn build() -> S {\n    let alpha = Mutex::named(\"lock.alpha\", 0);\n    let beta = Mutex::named(\"lock.beta\", 0);\n    S\n  }\n  fn one(&self) {\n    let g = self.alpha.lock();\n    let h = self.beta.lock();\n  }\n  fn two(&self) {\n    let g = self.beta.lock();\n    let h = self.alpha.lock();\n  }\n}\n";
-    let v = check(&[(STATE_RS, src)], &[]);
+    let v = check(&[(STATE_RS, src)]);
     let l8 = only(&v, "L8");
     assert_eq!(l8.len(), 1, "one cycle, reported once: {l8:#?}");
     assert!(
@@ -297,7 +81,7 @@ fn l8_forward_order_and_dropped_guard_are_clean() {
     let src = state_src(
         "  fn forward(&self) {\n    let slot = self.engine.write();\n    let c = self.lru.lock();\n  }\n  fn sequential(&self) {\n    let c = self.lru.lock();\n    drop(c);\n    let slot = self.engine.write();\n  }\n",
     );
-    let v = check(&[(STATE_RS, &src)], &[]);
+    let v = check(&[(STATE_RS, &src)]);
     assert!(only(&v, "L8").is_empty(), "{v:#?}");
 }
 
@@ -308,7 +92,7 @@ fn l8_line_scoped_temporary_holds_nothing() {
     let src = state_src(
         "  fn temp(&self) {\n    let v = self.lru.lock().take();\n    let slot = self.engine.write();\n  }\n",
     );
-    let v = check(&[(STATE_RS, &src)], &[]);
+    let v = check(&[(STATE_RS, &src)]);
     assert!(only(&v, "L8").is_empty(), "{v:#?}");
 }
 

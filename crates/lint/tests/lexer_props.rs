@@ -105,12 +105,6 @@ proptest! {
         for f in &idx.fns {
             prop_assert!(f.start <= f.end && f.end < n, "{:?}", f);
         }
-        for e in &idx.enums {
-            prop_assert!(e.start <= e.end && e.end < n, "{:?}", e);
-        }
-        for c in &idx.consts {
-            prop_assert!(c.start <= c.end && c.end < n, "{:?}", c);
-        }
         for a in &idx.acquisitions {
             prop_assert!(a.line < n, "{:?}", a);
         }

@@ -28,7 +28,7 @@ use pit_graph::NodeId;
 use pit_search_core::{
     CancelToken, DriverStep, SearchConfig, SearchDriver, SearchScratch, SearchTracer, TableProbe,
 };
-use pit_server::protocol::{ProbeTable, ROUTER_EXPAND_CHUNK};
+use pit_server::protocol::{ErrKind, ProbeTable, WireError, ROUTER_EXPAND_CHUNK};
 use pit_server::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
 use pit_topics::KeywordQuery;
 use std::path::Path;
@@ -125,12 +125,13 @@ impl ShardedEngine {
     }
 }
 
-/// Strip a backend's own `reload-failed:` prefix before re-wrapping, so
+/// Strip a backend's own `reload-failed` class before re-wrapping, so
 /// fleet errors read `reload-failed: shard 2 (…): <reason>` instead of
 /// stuttering the class twice.
 fn strip_class(reason: &str) -> &str {
     reason
-        .strip_prefix("reload-failed:")
+        .strip_prefix(ErrKind::ReloadFailed.as_str())
+        .and_then(|rest| rest.strip_prefix(':'))
         .map(str::trim)
         .unwrap_or(reason)
 }
@@ -173,19 +174,8 @@ impl ServeEngine for ShardedEngine {
         self.shards.len() as u32
     }
 
-    fn resolve_terms(&self, keywords: &[String]) -> Result<Vec<pit_graph::TermId>, String> {
-        let vocab = self
-            .meta
-            .vocab()
-            .ok_or_else(|| "malformed: engine has no vocabulary".to_string())?;
-        keywords
-            .iter()
-            .map(|kw| {
-                vocab
-                    .get(kw)
-                    .ok_or_else(|| format!("malformed: unknown keyword {kw}"))
-            })
-            .collect()
+    fn resolve_terms(&self, keywords: &[String]) -> Result<Vec<pit_graph::TermId>, WireError> {
+        pit_server::engine::resolve_terms(self.meta.vocab(), keywords)
     }
 
     fn try_search(
@@ -307,11 +297,12 @@ impl ServeEngine for ShardedEngine {
                             // A shard answering out of order is a protocol
                             // fault; refuse its whole round.
                             if dead[sh].is_none() {
-                                partial.push((sh as u32, "internal".to_string()));
-                                dead[sh] = Some(ShardError::Internal(format!(
+                                let fault = ShardError::Internal(format!(
                                     "shard {sh} answered table {} for probe {}",
                                     t.node, u.0
-                                )));
+                                ));
+                                partial.push((sh as u32, fault.word().to_string()));
+                                dead[sh] = Some(fault);
                             }
                             None
                         } else {
@@ -362,33 +353,31 @@ impl ServeEngine for ShardedEngine {
         &self,
         _terms: &[u32],
         _probes: &[(u32, f64)],
-    ) -> Result<(Vec<ProbeTable>, f64), String> {
-        Err("malformed: EXPAND targets a shard backend; the router owns no Γ tables".to_string())
+    ) -> Result<(Vec<ProbeTable>, f64), WireError> {
+        Err(ErrKind::Malformed
+            .because("EXPAND targets a shard backend; the router owns no Γ tables"))
     }
 
-    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, String> {
+    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, WireError> {
         // The split root holds one snapshot per shard: <dir>/shard-<i>.
         // Meta loads first (cheap local validation), then the fleet stages
         // all-or-nothing, then commits.
         let meta_dir = dir.join("shard-0");
         let meta = pit::store::load_engine(&meta_dir).map_err(|e| {
-            format!(
-                "reload-failed: router meta from {}: {e}",
-                meta_dir.display()
-            )
+            ErrKind::ReloadFailed.because(format!("router meta from {}: {e}", meta_dir.display()))
         })?;
         for (i, t) in self.shards.iter().enumerate() {
             let shard_dir = dir.join(format!("shard-{i}"));
             if let Err(e) = t.prepare_dir(&shard_dir) {
                 self.abort_fleet();
                 let reason = e.describe();
-                return Err(format!(
-                    "reload-failed: shard {i} ({}) rejected {}: {} — fleet aborted, old \
+                return Err(ErrKind::ReloadFailed.because(format!(
+                    "shard {i} ({}) rejected {}: {} — fleet aborted, old \
                      generation still serving",
                     t.location(),
                     shard_dir.display(),
                     strip_class(&reason)
-                ));
+                )));
             }
         }
         let mut gens = Vec::with_capacity(self.shards.len());
@@ -400,13 +389,13 @@ impl ServeEngine for ShardedEngine {
                     // generation vector in the old router no longer matches
                     // them, so their probes fail honestly. Re-issuing the
                     // RELOAD is the recovery.
-                    return Err(format!(
-                        "reload-failed: shard {i} ({}) failed to commit: {} — fleet may be \
+                    return Err(ErrKind::ReloadFailed.because(format!(
+                        "shard {i} ({}) failed to commit: {} — fleet may be \
                          mixed-generation; re-issue RELOAD {}",
                         t.location(),
                         e.describe(),
                         dir.display()
-                    ));
+                    )));
                 }
             }
         }
@@ -420,7 +409,7 @@ impl ServeEngine for ShardedEngine {
     fn successor_from_delta(
         &self,
         delta: &Delta,
-    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), String> {
+    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), WireError> {
         // The meta engine applies the full delta (its graph and walks are
         // complete, so summarization is seed-deterministic and identical to
         // what each shard computes before slicing); this also validates the
@@ -428,17 +417,17 @@ impl ServeEngine for ShardedEngine {
         let (meta, report) = self
             .meta
             .with_delta(delta)
-            .map_err(|e| format!("reload-failed: {e}"))?;
+            .map_err(|e| ErrKind::ReloadFailed.because(e.to_string()))?;
         for (i, t) in self.shards.iter().enumerate() {
             if let Err(e) = t.prepare_update(delta) {
                 self.abort_fleet();
                 let reason = e.describe();
-                return Err(format!(
-                    "reload-failed: shard {i} ({}) rejected the delta: {} — fleet aborted, \
+                return Err(ErrKind::ReloadFailed.because(format!(
+                    "shard {i} ({}) rejected the delta: {} — fleet aborted, \
                      old generation still serving",
                     t.location(),
                     strip_class(&reason)
-                ));
+                )));
             }
         }
         let mut gens = Vec::with_capacity(self.shards.len());
@@ -446,12 +435,12 @@ impl ServeEngine for ShardedEngine {
             match t.commit() {
                 Ok(gen) => gens.push(gen),
                 Err(e) => {
-                    return Err(format!(
-                        "reload-failed: shard {i} ({}) failed to commit: {} — fleet may be \
+                    return Err(ErrKind::ReloadFailed.because(format!(
+                        "shard {i} ({}) failed to commit: {} — fleet may be \
                          mixed-generation; re-issue the UPDATE",
                         t.location(),
                         e.describe()
-                    ));
+                    )));
                 }
             }
         }

@@ -2,13 +2,16 @@
 //! same [`ServeEngine`] trait the daemon serves) or over TCP (a framed
 //! client speaking the existing `pit-server` protocol).
 //!
-//! Failures map onto the serving taxonomy — `timeout` | `overloaded` |
-//! `internal` — because that is what a partial reply reports per missing
-//! shard; a transport never invents a fourth word.
+//! Failures map onto three classes of the serving taxonomy
+//! ([`ErrKind::Timeout`], [`ErrKind::Overloaded`], [`ErrKind::Internal`])
+//! because that is what a partial reply reports per missing shard; a
+//! transport never invents a fourth word.
 
 use parking_lot::Mutex;
 use pit::Delta;
-use pit_server::protocol::{read_frame, write_frame, ProbeTable, Request, Response};
+use pit_server::protocol::{
+    read_frame, write_frame, ErrKind, ProbeTable, Request, Response, WireError,
+};
 use pit_server::{ServeEngine, ServerConfig, ServerState};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -31,18 +34,31 @@ impl ShardError {
     /// The single-word taxonomy class carried in `partial=` annotations.
     pub fn word(&self) -> &'static str {
         match self {
-            ShardError::Timeout => "timeout",
-            ShardError::Overloaded => "overloaded",
-            ShardError::Internal(_) => "internal",
+            ShardError::Timeout => ErrKind::Timeout,
+            ShardError::Overloaded => ErrKind::Overloaded,
+            ShardError::Internal(_) => ErrKind::Internal,
         }
+        .as_str()
     }
 
     /// Full human-readable reason (logs and `ServeError::Shard`).
     pub fn describe(&self) -> String {
         match self {
-            ShardError::Timeout => "timeout".to_string(),
-            ShardError::Overloaded => "overloaded".to_string(),
+            ShardError::Timeout | ShardError::Overloaded => self.word().to_string(),
             ShardError::Internal(reason) => reason.clone(),
+        }
+    }
+}
+
+/// Classify a backend's `ERR` by its class: a slow or shedding shard keeps
+/// its word, every other refusal is a fault of that shard with the rendered
+/// reply preserved as the reason.
+fn classify_err_reply(err: WireError) -> ShardError {
+    match err.kind {
+        ErrKind::Timeout => ShardError::Timeout,
+        ErrKind::Overloaded => ShardError::Overloaded,
+        ErrKind::Malformed | ErrKind::Internal | ErrKind::ShuttingDown | ErrKind::ReloadFailed => {
+            ShardError::Internal(err.to_string())
         }
     }
 }
@@ -150,21 +166,19 @@ impl ShardTransport for LocalTransport {
         current
             .engine
             .expand(terms, probes)
-            .map_err(ShardError::Internal)
+            .map_err(classify_err_reply)
     }
 
     fn prepare_dir(&self, dir: &Path) -> Result<(), ShardError> {
-        self.state.prepare_dir(dir).map_err(ShardError::Internal)
+        self.state.prepare_dir(dir).map_err(classify_err_reply)
     }
 
     fn prepare_update(&self, delta: &Delta) -> Result<(), ShardError> {
-        self.state
-            .prepare_update(delta)
-            .map_err(ShardError::Internal)
+        self.state.prepare_update(delta).map_err(classify_err_reply)
     }
 
     fn commit(&self) -> Result<u64, ShardError> {
-        self.state.commit_staged().map_err(ShardError::Internal)
+        self.state.commit_staged().map_err(classify_err_reply)
     }
 
     fn abort(&self) -> Result<u64, ShardError> {
@@ -262,9 +276,9 @@ impl RemoteTransport {
             )));
         };
         let failure = match self.exchange(stream, budget, request) {
-            Ok(Response::Err(reason)) => {
+            Ok(Response::Err(err)) => {
                 // Server-side errors leave the connection usable.
-                return Err(classify_err_reply(&reason));
+                return Err(classify_err_reply(err));
             }
             Ok(resp) => return Ok(resp),
             Err(f) => f,
@@ -275,9 +289,9 @@ impl RemoteTransport {
             let budget = remaining_budget(deadline, self.io_timeout)?;
             let mut fresh = self.dial(budget)?;
             return match self.exchange(&mut fresh, budget, request) {
-                Ok(Response::Err(reason)) => {
+                Ok(Response::Err(err)) => {
                     *guard = Some(fresh);
-                    Err(classify_err_reply(&reason))
+                    Err(classify_err_reply(err))
                 }
                 Ok(resp) => {
                     *guard = Some(fresh);
@@ -360,16 +374,6 @@ impl RemoteTransport {
             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ShardError::Timeout,
             _ => ShardError::Internal(format!("{}: {e}", self.addr)),
         }
-    }
-}
-
-/// Classify a backend `ERR <reason>` by its leading taxonomy word.
-fn classify_err_reply(reason: &str) -> ShardError {
-    let class = reason.split([' ', ':']).next().unwrap_or_default();
-    match class {
-        "timeout" => ShardError::Timeout,
-        "overloaded" => ShardError::Overloaded,
-        _ => ShardError::Internal(reason.to_string()),
     }
 }
 
@@ -572,6 +576,29 @@ mod tests {
             .expect_err("first use died unanswered");
         assert!(matches!(err, ShardError::Internal(_)), "got {err:?}");
         server.join().expect("server thread");
+    }
+
+    /// What a `partial=` annotation says about a shard that answered
+    /// `ERR`: slow and shedding shards keep their word, every other class
+    /// is that shard's fault.
+    #[test]
+    fn backend_err_kind_maps_to_the_partial_word() {
+        for kind in ErrKind::ALL {
+            let want = match kind {
+                ErrKind::Timeout => "timeout",
+                ErrKind::Overloaded => "overloaded",
+                ErrKind::Malformed
+                | ErrKind::Internal
+                | ErrKind::ShuttingDown
+                | ErrKind::ReloadFailed => "internal",
+            };
+            assert_eq!(classify_err_reply(kind.because("detail")).word(), want);
+        }
+        // A fault keeps the backend's full rendered reply for the logs.
+        assert_eq!(
+            classify_err_reply(ErrKind::ReloadFailed.because("corrupt store")).describe(),
+            "reload-failed: corrupt store"
+        );
     }
 
     #[test]

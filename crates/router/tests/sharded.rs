@@ -420,6 +420,7 @@ fn fleet_reload_aborts_whole_when_one_shard_rejects() {
     let Err(err) = router.successor_from_dir(&root.join("split")) else {
         panic!("reload with a missing shard snapshot must fail");
     };
+    let err = err.to_string();
     assert!(err.starts_with("reload-failed:"), "{err}");
     assert!(err.contains("old generation still serving"), "{err}");
 
@@ -440,7 +441,7 @@ fn router_refuses_expand_and_reports_union_shape() {
     let err = router
         .expand(&[0], &[(7, 1.0)])
         .expect_err("router owns no Γ");
-    assert!(err.starts_with("malformed:"), "{err}");
+    assert!(err.to_string().starts_with("malformed:"), "{err}");
     assert_eq!(router.generations(), &[1, 1, 1]);
 }
 

@@ -144,7 +144,8 @@ impl<'a> PersonalizedSearcher<'a> {
     /// should validate against the graph's node count first, or use
     /// [`PersonalizedSearcher::try_search`] for a typed error instead.
     pub fn search(&self, query: &KeywordQuery) -> SearchOutcome {
-        match self.try_search(query, &CancelToken::none()) {
+        let (cancel, mut scratch) = (CancelToken::none(), SearchScratch::new());
+        match self.try_search(query, &cancel, &mut NoTracer, &mut scratch) {
             Ok(outcome) => outcome,
             // A no-op token never cancels, so the only reachable error is
             // the out-of-range user this method documents as a panic.
@@ -152,53 +153,30 @@ impl<'a> PersonalizedSearcher<'a> {
         }
     }
 
-    /// Run one query under a [`CancelToken`], without panicking.
+    /// Run one query under a [`CancelToken`], without panicking — the one
+    /// fallible entry point, built directly on [`SearchDriver`].
     ///
     /// The token is polled between EXPAND rounds and every
     /// [`CancelToken::check_every`] probed propagation tables, so a
     /// cancelled (or deadline-expired) query releases its thread after a
     /// bounded amount of further work instead of running to completion.
     ///
+    /// The `tracer` hears each phase begin/end (gather, every EXPAND round
+    /// with its probed-table count, ranking); pass `&mut NoTracer` for
+    /// none. This crate stays clock-free: timestamps, if any, are captured
+    /// by the tracer's implementation on the caller's side (see the server
+    /// layer's trace context).
+    ///
+    /// `scratch` holds every per-query buffer. A serving worker that keeps
+    /// one and passes it to every query makes the whole probe/feed loop
+    /// allocation-free once the buffers are warm — the arena keeps its
+    /// capacity across queries (pit-eval's counting allocator pins this);
+    /// one-shot callers pass a fresh [`SearchScratch::new`].
+    ///
     /// # Errors
     /// [`SearchError::UserOutOfRange`] for a user outside the indexed
     /// graph; [`SearchError::Cancelled`] when the token fires mid-search.
     pub fn try_search(
-        &self,
-        query: &KeywordQuery,
-        cancel: &CancelToken,
-    ) -> Result<SearchOutcome, SearchError> {
-        self.try_search_traced(query, cancel, &mut NoTracer)
-    }
-
-    /// [`PersonalizedSearcher::try_search`] with stage callbacks.
-    ///
-    /// The `tracer` hears each phase begin/end (gather, every EXPAND round
-    /// with its probed-table count, ranking). This crate stays clock-free:
-    /// timestamps, if any, are captured by the tracer's implementation on
-    /// the caller's side (see the server layer's trace context). With
-    /// [`NoTracer`] this is exactly `try_search`.
-    ///
-    /// # Errors
-    /// Same as [`PersonalizedSearcher::try_search`].
-    pub fn try_search_traced(
-        &self,
-        query: &KeywordQuery,
-        cancel: &CancelToken,
-        tracer: &mut dyn SearchTracer,
-    ) -> Result<SearchOutcome, SearchError> {
-        let mut scratch = SearchScratch::new();
-        self.try_search_traced_with(query, cancel, tracer, &mut scratch)
-    }
-
-    /// [`PersonalizedSearcher::try_search_traced`] with a caller-owned
-    /// [`SearchScratch`]. A serving worker that keeps one scratch and
-    /// passes it to every query makes the whole probe/feed loop
-    /// allocation-free once the buffers are warm — the arena keeps its
-    /// capacity across queries (pit-eval's counting allocator pins this).
-    ///
-    /// # Errors
-    /// Same as [`PersonalizedSearcher::try_search`].
-    pub fn try_search_traced_with(
         &self,
         query: &KeywordQuery,
         cancel: &CancelToken,
@@ -236,6 +214,15 @@ mod tests {
     use pit_index::PropIndexConfig;
     use pit_summarize::RepresentativeSet;
     use pit_topics::TopicSpaceBuilder;
+
+    /// `try_search` without a tracer, on a fresh scratch.
+    fn try_plain(
+        searcher: &PersonalizedSearcher<'_>,
+        query: &KeywordQuery,
+        cancel: &CancelToken,
+    ) -> Result<SearchOutcome, SearchError> {
+        searcher.try_search(query, cancel, &mut NoTracer, &mut SearchScratch::new())
+    }
 
     /// Recreate the Section 5.2 worked trace: Figure-3 graph, rep sets
     /// S1 = {1,3,5,12} (w=0.25 each), S2 = {7,9,10} (w=0.33), S3 = {2,4,6}
@@ -458,7 +445,7 @@ mod tests {
         let searcher = PersonalizedSearcher::new(&space, &prop, &reps, SearchConfig::top(2));
         let q = KeywordQuery::new(user(8), vec![TermId(0)]);
         let plain = searcher.search(&q);
-        let tried = searcher.try_search(&q, &CancelToken::none()).unwrap();
+        let tried = try_plain(&searcher, &q, &CancelToken::none()).unwrap();
         let ids = |o: &SearchOutcome| {
             o.top_k
                 .iter()
@@ -544,7 +531,12 @@ mod tests {
         let q = KeywordQuery::new(user(8), vec![TermId(0)]);
         let mut tracer = EchoTracer::default();
         let outcome = searcher
-            .try_search_traced(&q, &CancelToken::none(), &mut tracer)
+            .try_search(
+                &q,
+                &CancelToken::none(),
+                &mut tracer,
+                &mut SearchScratch::new(),
+            )
             .unwrap();
 
         let ends: Vec<(SearchPhase, u64)> = tracer
@@ -583,7 +575,7 @@ mod tests {
         let (_g, space, prop, reps) = fig3_setup();
         let searcher = PersonalizedSearcher::new(&space, &prop, &reps, SearchConfig::top(1));
         let q = KeywordQuery::new(NodeId(9_999), vec![TermId(0)]);
-        let err = searcher.try_search(&q, &CancelToken::none()).unwrap_err();
+        let err = try_plain(&searcher, &q, &CancelToken::none()).unwrap_err();
         assert_eq!(
             err,
             SearchError::UserOutOfRange {
@@ -617,7 +609,7 @@ mod tests {
             std::sync::atomic::AtomicBool::new(true),
         ))
         .with_check_every(1);
-        let err = searcher.try_search(&q, &token).unwrap_err();
+        let err = try_plain(&searcher, &q, &token).unwrap_err();
         let SearchError::Cancelled {
             probed_tables,
             expand_rounds,
@@ -639,7 +631,7 @@ mod tests {
             .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1))
             .with_check_every(1);
         assert!(matches!(
-            searcher.try_search(&q, &token),
+            try_plain(&searcher, &q, &token),
             Err(SearchError::Cancelled { .. })
         ));
     }

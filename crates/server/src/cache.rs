@@ -20,6 +20,7 @@
 //! The cache also keeps a small space-saving frequency sketch of looked-up
 //! keys; [`QueryCache::hottest`] feeds the post-reload warmup job.
 
+use crate::protocol::wire_enum;
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use pit::DeltaScope;
@@ -49,66 +50,23 @@ impl QueryKey {
     }
 }
 
-/// Why a swap declared a cache entry stale. Rendered on the wire (STATS
-/// keys, Prometheus `reason` label) via [`StaleReason::as_str`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StaleReason {
-    /// A new edge's downstream Γ closure or walk region reaches the entry.
-    EdgeAdded,
-    /// Reserved: [`pit::Delta`] carries no removals yet, so this is never
-    /// produced today — the wire key exists so adding removals is not a
-    /// breaking change.
-    EdgeRemoved,
-    /// A topic sharing a term with the entry gained a member and was
-    /// re-summarized.
-    AssignmentChanged,
-    /// A full `RELOAD` (or staged `COMMIT`) replaced the engine wholesale.
-    FullReload,
-}
-
-impl StaleReason {
-    /// Wire spelling of the reason.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StaleReason::EdgeAdded => "edge-added",
-            StaleReason::EdgeRemoved => "edge-removed",
-            StaleReason::AssignmentChanged => "assignment-changed",
-            StaleReason::FullReload => "full-reload",
-        }
+wire_enum! {
+    /// Why a swap declared a cache entry stale. Each spelling is the
+    /// Prometheus `reason` label; with `-` → `_` it is also the suffix of
+    /// the `cache_stale_<reason>` STATS key.
+    pub enum StaleReason {
+        /// A new edge's downstream Γ closure or walk region reaches the entry.
+        EdgeAdded => "edge-added",
+        /// Reserved: [`pit::Delta`] carries no removals yet, so this is never
+        /// produced today — the wire key exists so adding removals is not a
+        /// breaking change.
+        EdgeRemoved => "edge-removed",
+        /// A topic sharing a term with the entry gained a member and was
+        /// re-summarized.
+        AssignmentChanged => "assignment-changed",
+        /// A full `RELOAD` (or staged `COMMIT`) replaced the engine wholesale.
+        FullReload => "full-reload",
     }
-
-    /// Parse the wire spelling back into a reason — the inverse of
-    /// [`StaleReason::as_str`], used by operator tooling that reads the
-    /// `reason` label off STATS output. An inherent method rather than the
-    /// `FromStr` trait: a mismatch is just `None`, not an error type.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<StaleReason> {
-        match s {
-            "edge-added" => Some(StaleReason::EdgeAdded),
-            "edge-removed" => Some(StaleReason::EdgeRemoved),
-            "assignment-changed" => Some(StaleReason::AssignmentChanged),
-            "full-reload" => Some(StaleReason::FullReload),
-            _ => None,
-        }
-    }
-
-    /// Dense index into per-reason counter arrays.
-    fn index(self) -> usize {
-        match self {
-            StaleReason::EdgeAdded => 0,
-            StaleReason::EdgeRemoved => 1,
-            StaleReason::AssignmentChanged => 2,
-            StaleReason::FullReload => 3,
-        }
-    }
-
-    /// Every reason, in `StaleReason::index` order.
-    pub const ALL: [StaleReason; 4] = [
-        StaleReason::EdgeAdded,
-        StaleReason::EdgeRemoved,
-        StaleReason::AssignmentChanged,
-        StaleReason::FullReload,
-    ];
 }
 
 const NIL: usize = usize::MAX;
@@ -195,7 +153,7 @@ pub struct QueryCache<V> {
     /// could not change their answer.
     survivors: AtomicU64,
     /// Entries marked stale, by [`StaleReason::index`].
-    stale_by_reason: [AtomicU64; 4],
+    stale_by_reason: [AtomicU64; StaleReason::ALL.len()],
 }
 
 impl<V: Clone> QueryCache<V> {
@@ -222,12 +180,7 @@ impl<V: Clone> QueryCache<V> {
             evictions: AtomicU64::new(0),
             stale_evictions: AtomicU64::new(0),
             survivors: AtomicU64::new(0),
-            stale_by_reason: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
+            stale_by_reason: StaleReason::ALL.map(|_| AtomicU64::new(0)),
         }
     }
 
@@ -428,13 +381,8 @@ impl<V: Clone> QueryCache<V> {
     }
 
     /// Entries marked stale so far, per reason ([`StaleReason::ALL`] order).
-    pub fn stale_by_reason(&self) -> [u64; 4] {
-        [
-            self.stale_by_reason[0].load(Ordering::Relaxed),
-            self.stale_by_reason[1].load(Ordering::Relaxed),
-            self.stale_by_reason[2].load(Ordering::Relaxed),
-            self.stale_by_reason[3].load(Ordering::Relaxed),
-        ]
+    pub fn stale_by_reason(&self) -> [u64; StaleReason::ALL.len()] {
+        StaleReason::ALL.map(|r| self.stale_by_reason[r.index()].load(Ordering::Relaxed))
     }
 
     /// Entries currently cached.
@@ -470,7 +418,7 @@ impl<V: Clone> QueryCache<V> {
         };
         let (live, stale) = self.len_by_liveness();
         let by_reason = self.stale_by_reason();
-        vec![
+        let mut pairs = vec![
             ("cache_entries".into(), (live + stale).to_string()),
             ("cache_capacity".into(), self.capacity.to_string()),
             ("cache_hits".into(), hits.to_string()),
@@ -484,23 +432,12 @@ impl<V: Clone> QueryCache<V> {
             ("cache_entries_live".into(), live.to_string()),
             ("cache_entries_stale".into(), stale.to_string()),
             ("cache_survivors".into(), self.survivors().to_string()),
-            (
-                "cache_stale_edge_added".into(),
-                by_reason[StaleReason::EdgeAdded.index()].to_string(),
-            ),
-            (
-                "cache_stale_edge_removed".into(),
-                by_reason[StaleReason::EdgeRemoved.index()].to_string(),
-            ),
-            (
-                "cache_stale_assignment_changed".into(),
-                by_reason[StaleReason::AssignmentChanged.index()].to_string(),
-            ),
-            (
-                "cache_stale_full_reload".into(),
-                by_reason[StaleReason::FullReload.index()].to_string(),
-            ),
-        ]
+        ];
+        pairs.extend(StaleReason::ALL.iter().zip(by_reason).map(|(r, n)| {
+            let key = format!("cache_stale_{}", r.as_str().replace('-', "_"));
+            (key, n.to_string())
+        }));
+        pairs
     }
 }
 

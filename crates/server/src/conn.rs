@@ -17,13 +17,13 @@ use crate::cache::QueryKey;
 use crate::event::EventShared;
 use crate::metrics::Metrics;
 use crate::pool::{Admission, ExpandJob, Job, JobError, JobReply, QueryJob, ReplyTo};
-use crate::protocol::{self, Request, Response, MAX_FRAME_BYTES};
+use crate::protocol::{self, ErrKind, Request, Response, MAX_FRAME_BYTES};
 use crate::trace::TraceCtx;
 use crate::{AdminJob, AdminReply};
 use crossbeam::channel::{self, Receiver, TryRecvError};
 use pit::Delta;
 use pit_graph::{NodeId, TopicId};
-use pit_search_core::{CancelToken, SearchError};
+use pit_search_core::SearchError;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -37,7 +37,7 @@ const READ_CHUNK: usize = 4096;
 enum Mode {
     /// Parsing and dispatching inbound frames.
     Reading,
-    /// A `QUERY` is with the worker pool (directly or via a flight).
+    /// A `QUERY` is with the worker pool, via its flight.
     AwaitQuery {
         rx: Receiver<JobReply>,
         key: QueryKey,
@@ -57,10 +57,8 @@ enum Mode {
     Closing,
 }
 
-/// How an awaited `QUERY` reply will arrive.
+/// This connection's role in the flight its `QUERY` reply arrives through.
 enum Waiting {
-    /// Coalescing off: this waiter owns the execution and its token.
-    Direct { cancel: CancelToken },
     /// Flight leader: the worker resolves the flight and finalizes the
     /// trace; this waiter abandons through the flight on timeout.
     Lead,
@@ -111,22 +109,14 @@ impl Conn {
     }
 
     /// Abandon whatever this connection is awaiting (it is going away):
-    /// cancel a direct execution, or deregister from the shared flight —
-    /// the last waiter to leave cancels the flight's execution.
+    /// deregister from the shared flight — the last waiter to leave cancels
+    /// the flight's execution.
     fn abandon_wait(&mut self, shared: &EventShared) {
         if let Mode::AwaitQuery {
-            key,
-            generation,
-            wait,
-            ..
+            key, generation, ..
         } = &self.mode
         {
-            match wait {
-                Waiting::Direct { cancel } => cancel.cancel(),
-                Waiting::Lead | Waiting::Join { .. } => {
-                    shared.state.flight_abandon(*generation, key);
-                }
-            }
+            shared.state.flight_abandon(*generation, key);
         }
         self.mode = Mode::Closing;
     }
@@ -225,7 +215,12 @@ impl Conn {
                             }
                             Err(JobError::Search(SearchError::Cancelled { .. })) => "timeout",
                             Err(JobError::Panicked) => "panic",
-                            Err(_) => "error",
+                            Err(
+                                JobError::Search(SearchError::UserOutOfRange { .. })
+                                | JobError::Shard(_)
+                                | JobError::Shed
+                                | JobError::Closed,
+                            ) => "error",
                         };
                         shared.state.tracing().finish(
                             trace,
@@ -242,24 +237,19 @@ impl Conn {
                     *progress = true;
                 }
                 Err(TryRecvError::Empty) if now >= deadline => {
-                    match wait {
-                        Waiting::Direct { cancel } => cancel.cancel(),
-                        Waiting::Lead => shared.state.flight_abandon(generation, &key),
-                        Waiting::Join { trace } => {
-                            shared.state.flight_abandon(generation, &key);
-                            shared.state.tracing().finish(
-                                trace,
-                                &key,
-                                "timeout",
-                                false,
-                                None,
-                                started.elapsed(),
-                                shared.state.metrics(),
-                            );
-                        }
+                    shared.state.flight_abandon(generation, &key);
+                    if let Waiting::Join { trace } = wait {
+                        shared.state.tracing().finish(
+                            trace,
+                            &key,
+                            "timeout",
+                            false,
+                            None,
+                            started.elapsed(),
+                            shared.state.metrics(),
+                        );
                     }
-                    Metrics::bump(&shared.state.metrics().timeouts);
-                    self.queue(&Response::Err("timeout".to_string()));
+                    self.queue(&Response::refusal(ErrKind::Timeout, shared.state.metrics()));
                     self.mode = after_reply(stopping);
                     *progress = true;
                 }
@@ -287,8 +277,7 @@ impl Conn {
                             shared.state.metrics(),
                         );
                     }
-                    Metrics::bump(&shared.state.metrics().internal_errors);
-                    self.queue(&Response::Err("internal: worker vanished".to_string()));
+                    self.queue(&worker_vanished(shared));
                     self.mode = after_reply(stopping);
                     *progress = true;
                 }
@@ -301,8 +290,7 @@ impl Conn {
                 }
                 Err(TryRecvError::Empty) => self.mode = Mode::AwaitExpand { rx },
                 Err(TryRecvError::Disconnected) => {
-                    Metrics::bump(&shared.state.metrics().internal_errors);
-                    self.queue(&Response::Err("internal: worker vanished".to_string()));
+                    self.queue(&worker_vanished(shared));
                     self.mode = after_reply(stopping);
                     *progress = true;
                 }
@@ -312,7 +300,8 @@ impl Conn {
                     let response = match reply {
                         Ok(Some(generation)) => Response::Generation(generation),
                         Ok(None) => Response::Staged,
-                        Err(reason) => Response::Err(reason),
+                        // Already counted where it failed (`reload_failures`).
+                        Err(err) => Response::Err(err),
                     };
                     self.queue(&response);
                     self.mode = after_reply(stopping);
@@ -320,7 +309,7 @@ impl Conn {
                 }
                 Err(TryRecvError::Empty) => self.mode = Mode::AwaitAdmin { rx },
                 Err(TryRecvError::Disconnected) => {
-                    self.queue(&Response::Err("shutting-down".to_string()));
+                    self.queue(&Response::Err(ErrKind::ShuttingDown.into()));
                     self.mode = after_reply(stopping);
                     *progress = true;
                 }
@@ -414,10 +403,7 @@ impl Conn {
     fn dispatch(&mut self, text: &str, shared: &EventShared, stopping: bool) {
         let state = &*shared.state;
         match Request::parse(text) {
-            Err(reason) => {
-                Metrics::bump(&state.metrics().errors);
-                self.queue(&Response::Err(reason));
-            }
+            Err(err) => self.queue(&Response::refusal(err, state.metrics())),
             Ok(Request::Ping) => self.queue(&Response::Pong),
             Ok(Request::Stats) => self.queue(&Response::Stats(state.stats())),
             Ok(Request::Metrics) => self.queue(&Response::Metrics(state.metrics_text())),
@@ -478,7 +464,7 @@ impl Conn {
     ) {
         let (reply_tx, reply_rx) = channel::bounded(1);
         if shared.admin.send(make_job(reply_tx)).is_err() {
-            self.queue(&Response::Err("shutting-down".to_string()));
+            self.queue(&Response::Err(ErrKind::ShuttingDown.into()));
             return;
         }
         self.mode = Mode::AwaitAdmin { rx: reply_rx };
@@ -501,11 +487,13 @@ impl Conn {
             // A reload landed between the router's admission and this round.
             // Refusing is what makes mixed-generation answers structurally
             // impossible: the router sees the error and reports the shard.
-            Metrics::bump(&state.metrics().internal_errors);
-            self.queue(&Response::Err(format!(
-                "internal: shard generation changed (serving {}, request {gen})",
-                current.generation
-            )));
+            self.queue(&Response::refusal(
+                ErrKind::Internal.because(format!(
+                    "shard generation changed (serving {}, request {gen})",
+                    current.generation
+                )),
+                state.metrics(),
+            ));
             return;
         }
         let (reply_tx, reply_rx) = channel::bounded(1);
@@ -517,15 +505,14 @@ impl Conn {
         })) {
             Admission::Queued => self.mode = Mode::AwaitExpand { rx: reply_rx },
             Admission::Overloaded => {
-                Metrics::bump(&state.metrics().shed);
-                self.queue(&Response::Err("overloaded".to_string()));
+                self.queue(&Response::refusal(ErrKind::Overloaded, state.metrics()));
             }
-            Admission::Closed => self.queue(&Response::Err("shutting-down".to_string())),
+            Admission::Closed => self.queue(&Response::Err(ErrKind::ShuttingDown.into())),
         }
     }
 
-    /// Admit one `QUERY`: validate, probe the cache, then either lead or
-    /// join a single flight (coalescing on) or submit a direct execution.
+    /// Admit one `QUERY`: validate, probe the cache, then lead or join the
+    /// single flight for its `(generation, key)`.
     fn begin_query(
         &mut self,
         shared: &EventShared,
@@ -542,14 +529,13 @@ impl Conn {
         let current = state.current();
         let key = match state.make_key(current.engine.as_ref(), user, k, keywords) {
             Ok(key) => key,
-            Err(reason) => {
-                Metrics::bump(&state.metrics().errors);
-                self.queue(&Response::Err(reason));
+            Err(err) => {
+                self.queue(&Response::refusal(err, state.metrics()));
                 return;
             }
         };
         if stopping {
-            self.queue(&Response::Err("shutting-down".to_string()));
+            self.queue(&Response::Err(ErrKind::ShuttingDown.into()));
             return;
         }
         // The sampling decision for this query, made once; every later hook
@@ -582,80 +568,50 @@ impl Conn {
         let deadline = started + state.config().query_budget;
         let generation = current.generation;
         let (reply_tx, reply_rx) = channel::bounded(1);
-        if state.config().coalesce {
-            match state.flight_begin(generation, &key, reply_tx, deadline) {
-                Some(cancel) => {
-                    // Leader: submit the one shared execution. An admission
-                    // refusal must answer *every* waiter of the flight —
-                    // joiners raced in between flight_begin and here.
-                    let job = Job::Query(QueryJob {
-                        engine: current,
-                        key: key.clone(),
-                        enqueued: started,
-                        cancel,
-                        reply: ReplyTo::Flight,
-                        trace,
-                    });
-                    match shared.pool.submit(job) {
-                        Admission::Queued => {
-                            self.mode = Mode::AwaitQuery {
-                                rx: reply_rx,
-                                key,
-                                generation,
-                                started,
-                                deadline,
-                                wait: Waiting::Lead,
-                            };
-                        }
-                        Admission::Overloaded => {
-                            state.flight_resolve(generation, &key, &Err(JobError::Shed));
-                            self.drain_refusal(shared, reply_rx);
-                        }
-                        Admission::Closed => {
-                            state.flight_resolve(generation, &key, &Err(JobError::Closed));
-                            self.drain_refusal(shared, reply_rx);
-                        }
+        match state.flight_begin(generation, &key, reply_tx, deadline) {
+            Some(cancel) => {
+                // Leader: submit the one shared execution. An admission
+                // refusal must answer *every* waiter of the flight —
+                // joiners raced in between flight_begin and here.
+                let job = Job::Query(QueryJob {
+                    engine: current,
+                    key: key.clone(),
+                    enqueued: started,
+                    cancel,
+                    reply: ReplyTo::Flight,
+                    trace,
+                });
+                match shared.pool.submit(job) {
+                    Admission::Queued => {
+                        self.mode = Mode::AwaitQuery {
+                            rx: reply_rx,
+                            key,
+                            generation,
+                            started,
+                            deadline,
+                            wait: Waiting::Lead,
+                        };
+                    }
+                    Admission::Overloaded => {
+                        state.flight_resolve(generation, &key, &Err(JobError::Shed));
+                        self.drain_refusal(shared, reply_rx);
+                    }
+                    Admission::Closed => {
+                        state.flight_resolve(generation, &key, &Err(JobError::Closed));
+                        self.drain_refusal(shared, reply_rx);
                     }
                 }
-                None => {
-                    // Joiner: the flight's single execution answers us too.
-                    self.mode = Mode::AwaitQuery {
-                        rx: reply_rx,
-                        key,
-                        generation,
-                        started,
-                        deadline,
-                        wait: Waiting::Join { trace },
-                    };
-                }
             }
-        } else {
-            Metrics::bump(&state.metrics().inflight_executions);
-            let cancel = state.query_token(deadline);
-            let job = Job::Query(QueryJob {
-                engine: current,
-                key: key.clone(),
-                enqueued: started,
-                cancel: cancel.clone(),
-                reply: ReplyTo::Direct(reply_tx),
-                trace,
-            });
-            match shared.pool.submit(job) {
-                Admission::Queued => {
-                    self.mode = Mode::AwaitQuery {
-                        rx: reply_rx,
-                        key,
-                        generation,
-                        started,
-                        deadline,
-                        wait: Waiting::Direct { cancel },
-                    };
-                }
-                Admission::Overloaded => {
-                    Metrics::bump(&state.metrics().shed);
-                    self.queue(&Response::Err("overloaded".to_string()));
-                }
-                Admission::Closed => self.queue(&Response::Err("shutting-down".to_string())),
+            None => {
+                // Joiner: the flight's single execution answers us too.
+                self.mode = Mode::AwaitQuery {
+                    rx: reply_rx,
+                    key,
+                    generation,
+                    started,
+                    deadline,
+                    wait: Waiting::Join { trace },
+                };
             }
         }
     }
@@ -668,9 +624,17 @@ impl Conn {
             let response = reply_response(shared, &reply);
             self.queue(&response);
         } else {
-            self.queue(&Response::Err("shutting-down".to_string()));
+            self.queue(&Response::Err(ErrKind::ShuttingDown.into()));
         }
     }
+}
+
+/// A dropped reply sender: the worker died without even a caught panic.
+fn worker_vanished(shared: &EventShared) -> Response {
+    Response::refusal(
+        ErrKind::Internal.because("worker vanished"),
+        shared.state.metrics(),
+    )
 }
 
 /// Build a [`Delta`] from the wire's raw edge/assignment tuples.
@@ -687,48 +651,35 @@ fn build_delta(edges: &[(u32, u32, f64)], assignments: &[(u32, u32)]) -> Delta {
     }
 }
 
-/// Map one worker reply onto the wire, bumping exactly the counters the
-/// thread-per-connection path bumped — once per *client* reply, so N
-/// coalesced waiters still count as N queries.
+/// Map one worker reply onto the wire, counting it once per *client* reply
+/// — so N coalesced waiters still count as N queries (or N refusals).
 fn reply_response(shared: &EventShared, reply: &JobReply) -> Response {
-    let state = &*shared.state;
-    match reply {
+    let metrics = shared.state.metrics();
+    let err = match reply {
         Ok((ranked, micros, partial)) => {
-            Metrics::bump(&state.metrics().queries);
-            Response::Topics {
+            Metrics::bump(&metrics.queries);
+            return Response::Topics {
                 ranked: (**ranked).clone(),
                 cached: false,
                 micros: *micros,
                 partial: partial.clone(),
-            }
+            };
         }
         // The worker noticed the deadline before our sweep did (it checks
         // the token's own clock): still a timeout.
-        Err(JobError::Search(SearchError::Cancelled { .. })) => {
-            Metrics::bump(&state.metrics().timeouts);
-            Response::Err("timeout".to_string())
-        }
+        Err(JobError::Search(SearchError::Cancelled { .. })) => ErrKind::Timeout.into(),
         // Unreachable through make_key, but surfaced honestly if a key is
         // ever built around validation.
         Err(JobError::Search(e @ SearchError::UserOutOfRange { .. })) => {
-            Metrics::bump(&state.metrics().errors);
-            Response::Err(format!("malformed: {e}"))
+            ErrKind::Malformed.because(e.to_string())
         }
-        Err(JobError::Panicked) => {
-            Metrics::bump(&state.metrics().internal_errors);
-            Response::Err("internal: query execution panicked".to_string())
-        }
+        Err(JobError::Panicked) => ErrKind::Internal.because("query execution panicked"),
         // The query user's own home shard was unreachable: there is no
         // honest ranking to degrade from, so the whole query fails as a
         // server fault.
-        Err(JobError::Shard(reason)) => {
-            Metrics::bump(&state.metrics().internal_errors);
-            Response::Err(format!("internal: {reason}"))
-        }
-        Err(JobError::Shed) => {
-            Metrics::bump(&state.metrics().shed);
-            Response::Err("overloaded".to_string())
-        }
-        Err(JobError::Closed) => Response::Err("shutting-down".to_string()),
-    }
+        Err(JobError::Shard(reason)) => ErrKind::Internal.because(reason.as_str()),
+        Err(JobError::Shed) => ErrKind::Overloaded.into(),
+        Err(JobError::Closed) => ErrKind::ShuttingDown.into(),
+    };
+    Response::refusal(err, metrics)
 }

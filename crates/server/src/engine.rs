@@ -18,13 +18,13 @@
 //!   own: an empty table for an unowned node is indistinguishable from a
 //!   genuinely empty Γ(v), and the router must never be fed the former.
 
-use crate::protocol::ProbeTable;
+use crate::protocol::{ErrKind, ProbeTable, WireError};
 use pit::{shard_of, Delta, PitEngine, ShardSpec, UpdateReport};
 use pit_graph::NodeId;
 use pit_search_core::{
     probe_gamma, CancelToken, RepUniverse, SearchError, SearchScratch, SearchStats, SearchTracer,
 };
-use pit_topics::KeywordQuery;
+use pit_topics::{KeywordQuery, Vocabulary};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -99,20 +99,20 @@ pub trait ServeEngine: Send + Sync {
 
     /// Refuse direct `QUERY`s? True exactly for shard slices, whose local
     /// answer would be silently wrong once expansion crosses shards.
-    fn forbid_direct_query(&self) -> Option<String> {
+    fn forbid_direct_query(&self) -> Option<WireError> {
         self.shard_spec().map(|spec| {
-            format!(
-                "malformed: this backend serves shard {spec} of a split snapshot; \
+            ErrKind::Malformed.because(format!(
+                "this backend serves shard {spec} of a split snapshot; \
                  query the router (pit route) instead"
-            )
+            ))
         })
     }
 
     /// Resolve query keywords against the vocabulary.
     ///
     /// # Errors
-    /// A `malformed …` reason naming the unknown keyword.
-    fn resolve_terms(&self, keywords: &[String]) -> Result<Vec<pit_graph::TermId>, String>;
+    /// [`ErrKind::Malformed`], naming the unknown keyword.
+    fn resolve_terms(&self, keywords: &[String]) -> Result<Vec<pit_graph::TermId>, WireError>;
 
     /// Run one search. The expensive path — called from worker threads,
     /// which pass their own reusable [`SearchScratch`] so a warm worker's
@@ -152,13 +152,13 @@ pub trait ServeEngine: Send + Sync {
     /// generalized per shard).
     ///
     /// # Errors
-    /// A `malformed …` reason for out-of-range terms/nodes or probes for
+    /// [`ErrKind::Malformed`] for out-of-range terms/nodes or probes for
     /// nodes this slice does not own.
     fn expand(
         &self,
         terms: &[u32],
         probes: &[(u32, f64)],
-    ) -> Result<(Vec<ProbeTable>, f64), String>;
+    ) -> Result<(Vec<ProbeTable>, f64), WireError>;
 
     /// Build a successor generation from the snapshot at `dir` (slow; runs
     /// on the updater thread). The successor must be the same *kind* of
@@ -166,20 +166,40 @@ pub trait ServeEngine: Send + Sync {
     /// against its own spec, a router fans the reload out to its backends.
     ///
     /// # Errors
-    /// A `reload-failed: …` reason; the caller keeps serving the old
+    /// [`ErrKind::ReloadFailed`]; the caller keeps serving the old
     /// generation.
-    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, String>;
+    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, WireError>;
 
     /// Build a successor generation by applying `delta` (slow; runs on the
     /// updater thread).
     ///
     /// # Errors
-    /// A `reload-failed: …` reason; the caller keeps serving the old
+    /// [`ErrKind::ReloadFailed`]; the caller keeps serving the old
     /// generation.
     fn successor_from_delta(
         &self,
         delta: &Delta,
-    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), String>;
+    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), WireError>;
+}
+
+/// Resolve query keywords against a (possibly absent) vocabulary — shared
+/// by every [`ServeEngine::resolve_terms`] implementation.
+///
+/// # Errors
+/// [`ErrKind::Malformed`], naming the unknown keyword.
+pub fn resolve_terms(
+    vocab: Option<&Vocabulary>,
+    keywords: &[String],
+) -> Result<Vec<pit_graph::TermId>, WireError> {
+    let vocab = vocab.ok_or_else(|| ErrKind::Malformed.because("engine has no vocabulary"))?;
+    keywords
+        .iter()
+        .map(|kw| {
+            vocab
+                .get(kw)
+                .ok_or_else(|| ErrKind::Malformed.because(format!("unknown keyword {kw}")))
+        })
+        .collect()
 }
 
 /// A [`PitEngine`] serving directly — the single-node path, or one shard
@@ -252,19 +272,8 @@ impl ServeEngine for LocalServeEngine {
         self.shard
     }
 
-    fn resolve_terms(&self, keywords: &[String]) -> Result<Vec<pit_graph::TermId>, String> {
-        let vocab = self
-            .engine
-            .vocab()
-            .ok_or_else(|| "malformed: engine has no vocabulary".to_string())?;
-        keywords
-            .iter()
-            .map(|kw| {
-                vocab
-                    .get(kw)
-                    .ok_or_else(|| format!("malformed: unknown keyword {kw}"))
-            })
-            .collect()
+    fn resolve_terms(&self, keywords: &[String]) -> Result<Vec<pit_graph::TermId>, WireError> {
+        resolve_terms(self.engine.vocab(), keywords)
     }
 
     fn try_search(
@@ -275,9 +284,7 @@ impl ServeEngine for LocalServeEngine {
         tracer: &mut dyn SearchTracer,
         scratch: &mut SearchScratch,
     ) -> Result<ServeOutcome, ServeError> {
-        let outcome = self
-            .engine
-            .try_search_traced_with(query, k, cancel, tracer, scratch)?;
+        let outcome = self.engine.try_search(query, k, cancel, tracer, scratch)?;
         Ok(ServeOutcome {
             ranked: outcome.top_k.iter().map(|s| (s.topic.0, s.score)).collect(),
             stats: outcome.stats(),
@@ -291,7 +298,7 @@ impl ServeEngine for LocalServeEngine {
         &self,
         terms: &[u32],
         probes: &[(u32, f64)],
-    ) -> Result<(Vec<ProbeTable>, f64), String> {
+    ) -> Result<(Vec<ProbeTable>, f64), WireError> {
         let space = self.engine.space();
         let nterms = space.term_count();
         let term_ids = terms
@@ -300,12 +307,12 @@ impl ServeEngine for LocalServeEngine {
                 if (t as usize) < nterms {
                     Ok(pit_graph::TermId(t))
                 } else {
-                    Err(format!(
-                        "malformed: term {t} out of range (vocabulary has {nterms} terms)"
-                    ))
+                    Err(ErrKind::Malformed.because(format!(
+                        "term {t} out of range (vocabulary has {nterms} terms)"
+                    )))
                 }
             })
-            .collect::<Result<Vec<_>, String>>()?;
+            .collect::<Result<Vec<_>, WireError>>()?;
         let query = KeywordQuery::new(NodeId(0), term_ids);
         let universe = RepUniverse::for_query(space, self.engine.reps(), &query);
         let prop = self.engine.propagation();
@@ -315,18 +322,18 @@ impl ServeEngine for LocalServeEngine {
         let mut bound = 0.0f64;
         for &(u, ep_u) in probes {
             if u as usize >= nodes {
-                return Err(format!(
-                    "malformed: probe node {u} out of range (graph has {nodes} users)"
-                ));
+                return Err(ErrKind::Malformed.because(format!(
+                    "probe node {u} out of range (graph has {nodes} users)"
+                )));
             }
             if let Some(spec) = self.shard {
                 // An unowned slice row is empty storage, not an empty Γ(v);
                 // answering from it would feed the router silent zeros.
                 if !spec.owns(NodeId(u)) {
-                    return Err(format!(
-                        "malformed: node {u} belongs to shard {}, this is shard {spec}",
+                    return Err(ErrKind::Malformed.because(format!(
+                        "node {u} belongs to shard {}, this is shard {spec}",
                         shard_of(NodeId(u), spec.count)
-                    ));
+                    )));
                 }
             }
             let probe = probe_gamma(prop.gamma(NodeId(u)), ep_u, theta, &|x| {
@@ -344,25 +351,25 @@ impl ServeEngine for LocalServeEngine {
         Ok((tables, bound))
     }
 
-    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, String> {
-        let spec = pit::store::load_shard_spec(dir).map_err(|e| format!("reload-failed: {e}"))?;
+    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, WireError> {
+        let failed = |e: pit::store::StoreError| ErrKind::ReloadFailed.because(e.to_string());
+        let spec = pit::store::load_shard_spec(dir).map_err(failed)?;
         if spec != self.shard {
             let describe = |s: Option<ShardSpec>| match s {
                 Some(s) => format!("shard {s}"),
                 None => "a full (unsharded) engine".to_string(),
             };
-            return Err(format!(
-                "reload-failed: snapshot is {}, this backend serves {}",
+            return Err(ErrKind::ReloadFailed.because(format!(
+                "snapshot is {}, this backend serves {}",
                 describe(spec),
                 describe(self.shard)
-            ));
+            )));
         }
         // RELOAD targets snapshots this deployment's own pipeline staged;
         // the fast loader maps and validates the section geometry in
         // O(sections) without re-hashing every payload, which is what keeps
         // snapshot swaps at millisecond latency on large engines.
-        let engine =
-            pit::store::load_engine_fast(dir).map_err(|e| format!("reload-failed: {e}"))?;
+        let engine = pit::store::load_engine_fast(dir).map_err(failed)?;
         Ok(Arc::new(LocalServeEngine {
             engine: Arc::new(engine),
             shard: self.shard,
@@ -372,19 +379,21 @@ impl ServeEngine for LocalServeEngine {
     fn successor_from_delta(
         &self,
         delta: &Delta,
-    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), String> {
+    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), WireError> {
         // Validate assignment topics up front: with_delta asserts on unknown
         // topics, and an admin typo must be an ERR, not a panic.
         let topics = self.engine.space().topic_count();
         for &(_, t) in &delta.new_assignments {
             if t.index() >= topics {
-                return Err(format!("reload-failed: delta references unknown topic {t}"));
+                return Err(
+                    ErrKind::ReloadFailed.because(format!("delta references unknown topic {t}"))
+                );
             }
         }
         let (next, report) = self
             .engine
             .with_delta_scoped(delta, self.shard.as_ref())
-            .map_err(|e| format!("reload-failed: {e}"))?;
+            .map_err(|e| ErrKind::ReloadFailed.because(e.to_string()))?;
         let next: Arc<dyn ServeEngine> = Arc::new(LocalServeEngine {
             engine: Arc::new(next),
             shard: self.shard,

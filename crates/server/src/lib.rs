@@ -82,7 +82,9 @@ pub mod trace;
 pub use cache::{QueryCache, QueryKey};
 pub use engine::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
 pub use metrics::{LatencyHistogram, Metrics};
-pub use protocol::{read_frame, write_frame, ProbeTable, Request, Response, MAX_FRAME_BYTES};
+pub use protocol::{
+    read_frame, write_frame, ErrKind, ProbeTable, Request, Response, WireError, MAX_FRAME_BYTES,
+};
 pub use state::{EngineGen, RankedTopics, ServerConfig, ServerState};
 pub use trace::{TraceCollector, TraceCtx};
 
@@ -186,10 +188,10 @@ pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<S
 /// serving generation (`RELOAD`/`UPDATE`/`COMMIT`/`ABORT`, rendered as
 /// `GEN <n>`) or a parked-but-not-serving stage (`PREPARE …`, rendered as
 /// `STAGED`).
-pub(crate) type AdminReply = Result<Option<u64>, String>;
+pub(crate) type AdminReply = Result<Option<u64>, WireError>;
 
 /// One admin mutation bound for the updater thread. Every verb replies
-/// through the same [`AdminReply`] shape or a `reload-failed: …` reason.
+/// through the same [`AdminReply`] shape or an [`ErrKind::ReloadFailed`].
 pub(crate) enum AdminJob {
     /// `RELOAD <dir>`: load the snapshot at `dir`, swap it in.
     Reload {
@@ -357,7 +359,7 @@ fn accept_loop(
                     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
                     let _ = protocol::write_frame(
                         &mut stream,
-                        &Response::Err("overloaded".to_string()).render(),
+                        &Response::Err(ErrKind::Overloaded.into()).render(),
                     );
                     continue;
                 }
@@ -575,7 +577,7 @@ mod tests {
         let Response::Err(reason) = roundtrip(&mut c, &poisoned) else {
             panic!("poisoned query must error");
         };
-        assert!(reason.starts_with("internal"), "got: {reason}");
+        assert_eq!(reason.kind, ErrKind::Internal, "got: {reason}");
 
         // The sole worker is still serving.
         for user in [6u32, 7, 8] {
@@ -642,7 +644,7 @@ mod tests {
         };
         let reply = roundtrip(&mut c, &slow);
         let waited = started.elapsed();
-        assert_eq!(reply, Response::Err("timeout".to_string()));
+        assert_eq!(reply, Response::Err(ErrKind::Timeout.into()));
         assert!(
             waited < Duration::from_millis(600),
             "timeout reply must honor the budget, took {waited:?}"
@@ -658,7 +660,9 @@ mod tests {
         loop {
             match roundtrip(&mut c, &healthy) {
                 Response::Topics { .. } => break,
-                Response::Err(reason) => assert_eq!(reason, "timeout", "unexpected: {reason}"),
+                Response::Err(reason) => {
+                    assert_eq!(reason.kind, ErrKind::Timeout, "unexpected: {reason}");
+                }
                 other => panic!("unexpected reply {other:?}"),
             }
             assert!(
@@ -768,7 +772,7 @@ mod tests {
         let Response::Err(reason) = roundtrip(&mut c, &reload) else {
             panic!("reload of a missing snapshot must fail");
         };
-        assert!(reason.starts_with("reload-failed"), "got: {reason}");
+        assert_eq!(reason.kind, ErrKind::ReloadFailed, "got: {reason}");
 
         // Still answering, still generation 1, still the old rankings.
         let query = Request::Query {
@@ -849,7 +853,7 @@ mod tests {
         let Response::Err(reason) = roundtrip(&mut c, &bad) else {
             panic!("bad delta must fail");
         };
-        assert!(reason.starts_with("reload-failed"), "got: {reason}");
+        assert_eq!(reason.kind, ErrKind::ReloadFailed, "got: {reason}");
 
         let Response::Stats(pairs) = roundtrip(&mut c, &Request::Stats) else {
             panic!("expected stats");

@@ -647,43 +647,4 @@ mod tests {
             "{out}"
         );
     }
-
-    #[test]
-    fn snapshot_names_are_stable() {
-        let m = Metrics::new();
-        Metrics::bump(&m.queries);
-        let names: Vec<String> = m.snapshot().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(
-            names,
-            vec![
-                "queries",
-                "shed",
-                "timeouts",
-                "errors",
-                "internal_errors",
-                "panics",
-                "connections",
-                "reloads",
-                "reload_failures",
-                "slow_queries",
-                "traces_sampled",
-                "shards_pruned",
-                "partial_replies",
-                "coalesced_queries",
-                "inflight_executions",
-                "accept_errors",
-                "latency_p50_us",
-                "latency_p99_us",
-                "queue_p50_us",
-                "queue_p99_us",
-                "exec_p50_us",
-                "exec_p99_us",
-                "reload_p50_us",
-                "reload_p99_us",
-                "warmup_queries",
-                "warmup_coverage",
-                "warmup_budget_exhausted"
-            ]
-        );
-    }
 }

@@ -17,7 +17,7 @@
 use crate::cache::QueryKey;
 use crate::engine::ServeError;
 use crate::metrics::Metrics;
-use crate::protocol::Response;
+use crate::protocol::{ErrKind, Response};
 use crate::state::{EngineGen, RankedTopics, ServerState};
 use crate::trace::TraceCtx;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -58,8 +58,7 @@ pub type JobReply = Result<(RankedTopics, u64, Vec<(u32, String)>), JobError>;
 
 /// Where a finished query's [`JobReply`] goes.
 pub enum ReplyTo {
-    /// A single waiter's buffered channel (coalescing off, or a
-    /// cache-bypassing caller).
+    /// A single waiter's buffered channel (the updater's cache warmup).
     Direct(Sender<JobReply>),
     /// The single-flight registry: the worker resolves the flight keyed by
     /// the job's `(generation, key)`, delivering one clone per waiter.
@@ -337,14 +336,13 @@ fn run_expand(job: ExpandJob, state: &ServerState) {
             bound,
             tables,
         },
-        Ok(Err(reason)) => {
-            Metrics::bump(&state.metrics().errors);
-            Response::Err(reason)
-        }
+        Ok(Err(err)) => Response::refusal(err, state.metrics()),
         Err(_) => {
             Metrics::bump(&state.metrics().panics);
-            Metrics::bump(&state.metrics().internal_errors);
-            Response::Err("internal: expand panicked".to_string())
+            Response::refusal(
+                ErrKind::Internal.because("expand panicked"),
+                state.metrics(),
+            )
         }
     };
     let _ = job.reply.send(response);
@@ -418,7 +416,7 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
                             ..SearchStats::default()
                         }),
                     ),
-                    _ => ("error", None),
+                    SearchError::UserOutOfRange { .. } => ("error", None),
                 };
                 (Err(JobError::Search(e)), outcome, stats)
             }

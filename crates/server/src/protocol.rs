@@ -53,15 +53,142 @@
 //! marked candidates, plus the shard's residual upper bound (its best
 //! unexpanded candidate — the Section 5.2 bound generalized per shard).
 //!
-//! The first word of an `ERR` reason is machine-readable and exhaustive:
-//! `timeout` (budget expired, search cancelled), `overloaded` (shed at
-//! admission), `shutting-down` (drain in progress), `malformed` (bad
-//! request — the client's fault), `internal` (server fault — a panicking
-//! job or vanished worker; never reported as a timeout), and
-//! `reload-failed` (a `RELOAD`/`UPDATE` could not produce a servable
-//! engine; the prior generation keeps serving).
+//! The first word of an `ERR` reason is machine-readable and exhaustive —
+//! it is an [`ErrKind`], spelled exactly once (in that enum's declaration)
+//! and rendered only by [`Response::render`]: `timeout` (budget expired,
+//! search cancelled), `overloaded` (shed at admission), `shutting-down`
+//! (drain in progress), `malformed` (bad request — the client's fault),
+//! `internal` (server fault — a panicking job or vanished worker; never
+//! reported as a timeout), and `reload-failed` (a `RELOAD`/`UPDATE` could
+//! not produce a servable engine; the prior generation keeps serving).
 
+use crate::metrics::Metrics;
+use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::atomic::AtomicU64;
+
+/// Declare a fieldless enum whose variants have a wire spelling, from one
+/// `Variant => "spelling"` list. `ALL`, `as_str`, `from_str` and the dense
+/// `index` are all derived from that list, so a new variant cannot be left
+/// out of any of them and no spelling is typed twice.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $text:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration (= [`Self::index`]) order.
+            pub const ALL: [$name; [$($text),+].len()] = [$($name::$variant),+];
+
+            /// The wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)+
+                }
+            }
+
+            /// Parse a wire spelling back — the inverse of [`Self::as_str`];
+            /// an unknown spelling is `None`. An inherent method rather than
+            /// the `FromStr` trait: a mismatch needs no error type.
+            #[allow(clippy::should_implement_trait)]
+            pub fn from_str(s: &str) -> Option<$name> {
+                Self::ALL.into_iter().find(|v| v.as_str() == s)
+            }
+
+            /// Dense index into per-variant arrays sized by [`Self::ALL`].
+            pub fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+wire_enum! {
+    /// The class of an `ERR` reply: its machine-readable first word.
+    pub enum ErrKind {
+        /// The query budget expired; the search was cancelled.
+        Timeout => "timeout",
+        /// The bounded queue was full; the request was shed at admission.
+        Overloaded => "overloaded",
+        /// The request itself was invalid — the client's fault.
+        Malformed => "malformed",
+        /// A server fault: a panicking job, a vanished worker, a lost shard.
+        Internal => "internal",
+        /// The server is draining.
+        ShuttingDown => "shutting-down",
+        /// A `RELOAD`/`UPDATE` could not produce a servable engine; the
+        /// prior generation keeps serving.
+        ReloadFailed => "reload-failed",
+    }
+}
+
+impl ErrKind {
+    /// The counter that makes this class visible in `STATS`/`METRICS`.
+    /// `shutting-down` is deliberately uncounted: it is the server's own
+    /// lifecycle, not an anomaly.
+    pub fn counter(self, metrics: &Metrics) -> Option<&AtomicU64> {
+        match self {
+            ErrKind::Timeout => Some(&metrics.timeouts),
+            ErrKind::Overloaded => Some(&metrics.shed),
+            ErrKind::Malformed => Some(&metrics.errors),
+            ErrKind::Internal => Some(&metrics.internal_errors),
+            ErrKind::ShuttingDown => None,
+            ErrKind::ReloadFailed => Some(&metrics.reload_failures),
+        }
+    }
+
+    /// This class with a human-readable detail.
+    pub fn because(self, detail: impl Into<String>) -> WireError {
+        WireError {
+            kind: self,
+            detail: detail.into(),
+        }
+    }
+}
+
+/// One `ERR` reply: the class plus an optional human-readable detail,
+/// rendered `<kind>` or `<kind>: <detail>`. Also the error type of every
+/// serving-stack call whose failure is answered on the wire.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WireError {
+    /// The machine-readable class.
+    pub kind: ErrKind,
+    /// Free-form detail; empty for the bare classes (`timeout`, …).
+    pub detail: String,
+}
+
+impl From<ErrKind> for WireError {
+    fn from(kind: ErrKind) -> Self {
+        WireError {
+            kind,
+            detail: String::new(),
+        }
+    }
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.kind.as_str())?;
+        if !self.detail.is_empty() {
+            write!(f, ": {}", self.detail)?;
+        }
+        Ok(())
+    }
+}
+
+/// A `malformed` refusal — what every request-parse failure is.
+fn malformed(detail: impl Into<String>) -> WireError {
+    ErrKind::Malformed.because(detail)
+}
 
 /// Frames larger than this are rejected rather than buffered — no legitimate
 /// request or reply comes close (a 1000-topic reply is ~30 KB).
@@ -192,18 +319,15 @@ impl Request {
     /// rides on continuation lines).
     ///
     /// # Errors
-    /// A human-readable `malformed …` reason, sent back verbatim in an
-    /// `ERR` reply.
-    pub fn parse(text: &str) -> Result<Request, String> {
+    /// A [`ErrKind::Malformed`] refusal, sent back as the `ERR` reply.
+    pub fn parse(text: &str) -> Result<Request, WireError> {
         let mut lines = text.lines();
         let line = lines.next().unwrap_or("");
         let mut words = line.split_ascii_whitespace();
-        let verb = words
-            .next()
-            .ok_or_else(|| "malformed: empty request".to_string())?;
-        let single_line = |verb: &str| -> Result<(), String> {
+        let verb = words.next().ok_or_else(|| malformed("empty request"))?;
+        let single_line = |verb: &str| -> Result<(), WireError> {
             if text.lines().nth(1).is_some() {
-                Err(format!("malformed: {verb} takes a single line"))
+                Err(malformed(format!("{verb} takes a single line")))
             } else {
                 Ok(())
             }
@@ -219,18 +343,18 @@ impl Request {
                     None => DEFAULT_TRACE_DUMP,
                     Some(w) => w
                         .parse::<usize>()
-                        .map_err(|_| "malformed: TRACE count is not a usize".to_string())?,
+                        .map_err(|_| malformed("TRACE count is not a usize"))?,
                 };
                 if words.next().is_some() {
-                    return Err("malformed: TRACE takes at most one argument".to_string());
+                    return Err(malformed("TRACE takes at most one argument"));
                 }
                 if n == 0 {
-                    return Err("malformed: TRACE count must be positive".to_string());
+                    return Err(malformed("TRACE count must be positive"));
                 }
                 if n > MAX_TRACE_DUMP {
-                    return Err(format!(
-                        "malformed: TRACE count {n} exceeds the cap of {MAX_TRACE_DUMP}"
-                    ));
+                    return Err(malformed(format!(
+                        "TRACE count {n} exceeds the cap of {MAX_TRACE_DUMP}"
+                    )));
                 }
                 Ok(Request::Trace { n })
             }
@@ -238,29 +362,29 @@ impl Request {
                 single_line(verb)?;
                 let user = words
                     .next()
-                    .ok_or_else(|| "malformed: QUERY missing user id".to_string())?
+                    .ok_or_else(|| malformed("QUERY missing user id"))?
                     .parse::<u32>()
-                    .map_err(|_| "malformed: QUERY user id is not a u32".to_string())?;
+                    .map_err(|_| malformed("QUERY user id is not a u32"))?;
                 let k = words
                     .next()
-                    .ok_or_else(|| "malformed: QUERY missing k".to_string())?
+                    .ok_or_else(|| malformed("QUERY missing k"))?
                     .parse::<usize>()
-                    .map_err(|_| "malformed: QUERY k is not a usize".to_string())?;
+                    .map_err(|_| malformed("QUERY k is not a usize"))?;
                 if k == 0 {
-                    return Err("malformed: QUERY k must be positive".to_string());
+                    return Err(malformed("QUERY k must be positive"));
                 }
                 if k > MAX_K {
-                    return Err(format!("malformed: QUERY k {k} exceeds the cap of {MAX_K}"));
+                    return Err(malformed(format!("QUERY k {k} exceeds the cap of {MAX_K}")));
                 }
                 let keywords: Vec<String> = words.map(str::to_string).collect();
                 if keywords.is_empty() {
-                    return Err("malformed: QUERY needs at least one keyword".to_string());
+                    return Err(malformed("QUERY needs at least one keyword"));
                 }
                 if keywords.len() > MAX_KEYWORDS {
-                    return Err(format!(
-                        "malformed: QUERY has {} keywords, cap is {MAX_KEYWORDS}",
+                    return Err(malformed(format!(
+                        "QUERY has {} keywords, cap is {MAX_KEYWORDS}",
                         keywords.len()
-                    ));
+                    )));
                 }
                 Ok(Request::Query { user, k, keywords })
             }
@@ -274,13 +398,13 @@ impl Request {
                     .trim()
                     .to_string();
                 if dir.is_empty() {
-                    return Err("malformed: RELOAD missing engine directory".to_string());
+                    return Err(malformed("RELOAD missing engine directory"));
                 }
                 Ok(Request::Reload { dir })
             }
             "UPDATE" => {
                 if words.next().is_some() {
-                    return Err("malformed: UPDATE takes no arguments on its head line".to_string());
+                    return Err(malformed("UPDATE takes no arguments on its head line"));
                 }
                 let (edges, assignments) = parse_delta_lines(lines)?;
                 Ok(Request::Update { edges, assignments })
@@ -290,7 +414,7 @@ impl Request {
             "SHARD" | "COMMIT" | "ABORT" => {
                 single_line(verb)?;
                 if words.next().is_some() {
-                    return Err(format!("malformed: {verb} takes no arguments"));
+                    return Err(malformed(format!("{verb} takes no arguments")));
                 }
                 Ok(match verb {
                     "SHARD" => Request::Shard,
@@ -308,39 +432,37 @@ impl Request {
                         .unwrap_or_default()
                         .to_string();
                     if dir.is_empty() {
-                        return Err("malformed: PREPARE DIR missing engine directory".to_string());
+                        return Err(malformed("PREPARE DIR missing engine directory"));
                     }
                     Ok(Request::PrepareDir { dir })
                 }
                 Some("UPDATE") => {
                     if words.next().is_some() {
-                        return Err(
-                            "malformed: PREPARE UPDATE takes no further head arguments".to_string()
-                        );
+                        return Err(malformed("PREPARE UPDATE takes no further head arguments"));
                     }
                     let (edges, assignments) = parse_delta_lines(lines)?;
                     Ok(Request::PrepareUpdate { edges, assignments })
                 }
-                _ => Err("malformed: PREPARE needs DIR <path> or UPDATE".to_string()),
+                _ => Err(malformed("PREPARE needs DIR <path> or UPDATE")),
             },
             "EXPAND" => {
                 let gen = words
                     .next()
-                    .ok_or_else(|| "malformed: EXPAND missing generation".to_string())?
+                    .ok_or_else(|| malformed("EXPAND missing generation"))?
                     .parse::<u64>()
-                    .map_err(|_| "malformed: EXPAND generation is not a u64".to_string())?;
+                    .map_err(|_| malformed("EXPAND generation is not a u64"))?;
                 let nterms = words
                     .next()
-                    .ok_or_else(|| "malformed: EXPAND missing term count".to_string())?
+                    .ok_or_else(|| malformed("EXPAND missing term count"))?
                     .parse::<usize>()
-                    .map_err(|_| "malformed: EXPAND term count is not a usize".to_string())?;
+                    .map_err(|_| malformed("EXPAND term count is not a usize"))?;
                 if nterms == 0 {
-                    return Err("malformed: EXPAND needs at least one term".to_string());
+                    return Err(malformed("EXPAND needs at least one term"));
                 }
                 if nterms > MAX_KEYWORDS {
-                    return Err(format!(
-                        "malformed: EXPAND has {nterms} terms, cap is {MAX_KEYWORDS}"
-                    ));
+                    return Err(malformed(format!(
+                        "EXPAND has {nterms} terms, cap is {MAX_KEYWORDS}"
+                    )));
                 }
                 // Collect what is actually present; never allocate from the
                 // claimed count.
@@ -348,45 +470,45 @@ impl Request {
                 for w in words {
                     terms.push(
                         w.parse::<u32>()
-                            .map_err(|_| "malformed: EXPAND term is not a u32".to_string())?,
+                            .map_err(|_| malformed("EXPAND term is not a u32"))?,
                     );
                 }
                 if terms.len() != nterms {
-                    return Err(format!(
-                        "malformed: EXPAND claims {nterms} terms but carries {}",
+                    return Err(malformed(format!(
+                        "EXPAND claims {nterms} terms but carries {}",
                         terms.len()
-                    ));
+                    )));
                 }
                 let mut probes = Vec::new();
                 for (i, l) in lines.enumerate() {
                     if i >= MAX_EXPAND_PROBES {
-                        return Err(format!(
-                            "malformed: EXPAND exceeds {MAX_EXPAND_PROBES} probes"
-                        ));
+                        return Err(malformed(format!(
+                            "EXPAND exceeds {MAX_EXPAND_PROBES} probes"
+                        )));
                     }
                     let mut w = l.split_ascii_whitespace();
                     let (Some("F"), Some(node), Some(ep), None) =
                         (w.next(), w.next(), w.next(), w.next())
                     else {
-                        return Err(format!("malformed: bad EXPAND probe line {l:?}"));
+                        return Err(malformed(format!("bad EXPAND probe line {l:?}")));
                     };
                     let node = node
                         .parse::<u32>()
-                        .map_err(|_| "malformed: EXPAND probe node is not a u32".to_string())?;
+                        .map_err(|_| malformed("EXPAND probe node is not a u32"))?;
                     let ep = ep
                         .parse::<f64>()
-                        .map_err(|_| "malformed: EXPAND probe ep is not a number".to_string())?;
+                        .map_err(|_| malformed("EXPAND probe ep is not a number"))?;
                     if !ep.is_finite() {
-                        return Err("malformed: EXPAND probe ep is not finite".to_string());
+                        return Err(malformed("EXPAND probe ep is not finite"));
                     }
                     probes.push((node, ep));
                 }
                 if probes.is_empty() {
-                    return Err("malformed: EXPAND needs at least one probe".to_string());
+                    return Err(malformed("EXPAND needs at least one probe"));
                 }
                 Ok(Request::Expand { gen, terms, probes })
             }
-            other => Err(format!("malformed: unknown verb {other}")),
+            other => Err(malformed(format!("unknown verb {other}"))),
         }
     }
 
@@ -436,47 +558,47 @@ impl Request {
 #[allow(clippy::type_complexity)]
 fn parse_delta_lines<'a>(
     lines: impl Iterator<Item = &'a str>,
-) -> Result<(Vec<(u32, u32, f64)>, Vec<(u32, u32)>), String> {
+) -> Result<(Vec<(u32, u32, f64)>, Vec<(u32, u32)>), WireError> {
     let mut edges = Vec::new();
     let mut assignments = Vec::new();
     for (i, l) in lines.enumerate() {
         if i >= MAX_DELTA_LINES {
-            return Err(format!(
-                "malformed: UPDATE delta exceeds {MAX_DELTA_LINES} lines"
-            ));
+            return Err(malformed(format!(
+                "UPDATE delta exceeds {MAX_DELTA_LINES} lines"
+            )));
         }
         let mut w = l.split_ascii_whitespace();
         match w.next() {
             Some("EDGE") => {
                 let (u, v, p) = (w.next(), w.next(), w.next());
                 let (Some(u), Some(v), Some(p), None) = (u, v, p, w.next()) else {
-                    return Err(format!("malformed: bad EDGE line {l:?}"));
+                    return Err(malformed(format!("bad EDGE line {l:?}")));
                 };
-                let parse = |s: &str, what: &str| -> Result<u32, String> {
+                let parse = |s: &str, what: &str| -> Result<u32, WireError> {
                     s.parse()
-                        .map_err(|_| format!("malformed: EDGE {what} is not a u32"))
+                        .map_err(|_| malformed(format!("EDGE {what} is not a u32")))
                 };
                 let prob: f64 = p
                     .parse()
-                    .map_err(|_| "malformed: EDGE probability is not a number")?;
+                    .map_err(|_| malformed("EDGE probability is not a number"))?;
                 if !prob.is_finite() {
-                    return Err("malformed: EDGE probability is not finite".into());
+                    return Err(malformed("EDGE probability is not finite"));
                 }
                 edges.push((parse(u, "source")?, parse(v, "target")?, prob));
             }
             Some("ASSIGN") => {
                 let (u, t) = (w.next(), w.next());
                 let (Some(u), Some(t), None) = (u, t, w.next()) else {
-                    return Err(format!("malformed: bad ASSIGN line {l:?}"));
+                    return Err(malformed(format!("bad ASSIGN line {l:?}")));
                 };
-                let parse = |s: &str, what: &str| -> Result<u32, String> {
+                let parse = |s: &str, what: &str| -> Result<u32, WireError> {
                     s.parse()
-                        .map_err(|_| format!("malformed: ASSIGN {what} is not a u32"))
+                        .map_err(|_| malformed(format!("ASSIGN {what} is not a u32")))
                 };
                 assignments.push((parse(u, "user")?, parse(t, "topic")?));
             }
-            Some(other) => return Err(format!("malformed: unknown UPDATE line kind {other}")),
-            None => return Err("malformed: empty UPDATE line".to_string()),
+            Some(other) => return Err(malformed(format!("unknown UPDATE line kind {other}"))),
+            None => return Err(malformed("empty UPDATE line")),
         }
     }
     Ok((edges, assignments))
@@ -550,11 +672,21 @@ pub enum Response {
     Staged,
     /// Reply to [`Request::Shutdown`].
     Bye,
-    /// Failure; the string is the machine-readable reason.
-    Err(String),
+    /// Failure: the machine-readable class plus detail.
+    Err(WireError),
 }
 
 impl Response {
+    /// The `ERR` reply for `err`, counted under its class's counter
+    /// ([`ErrKind::counter`] — the one word→counter map).
+    pub fn refusal(err: impl Into<WireError>, metrics: &Metrics) -> Response {
+        let err = err.into();
+        if let Some(counter) = err.kind.counter(metrics) {
+            Metrics::bump(counter);
+        }
+        Response::Err(err)
+    }
+
     /// Render to the text carried by one frame.
     pub fn render(&self) -> String {
         match self {
@@ -563,7 +695,7 @@ impl Response {
             Response::Staged => "STAGED".to_string(),
             Response::Generation(generation) => format!("GEN {generation}"),
             Response::ShardInfo { index, count, gen } => format!("SHARD {index} {count} {gen}"),
-            Response::Err(reason) => format!("ERR {reason}"),
+            Response::Err(err) => format!("ERR {err}"),
             Response::Expanded { gen, bound, tables } => {
                 let mut out = format!("EXPANDED {gen} {} {bound:.17e}", tables.len());
                 for t in tables {
@@ -659,7 +791,13 @@ impl Response {
             return parse_expanded(rest, lines);
         }
         if let Some(reason) = head.strip_prefix("ERR ") {
-            return Ok(Response::Err(reason.to_string()));
+            let word = reason.split([' ', ':']).next().unwrap_or_default();
+            let kind = ErrKind::from_str(word)
+                .ok_or_else(|| format!("ERR reply with unknown class {word:?}"))?;
+            let detail = &reason[word.len()..];
+            let detail = detail.strip_prefix(':').unwrap_or(detail);
+            let detail = detail.strip_prefix(' ').unwrap_or(detail);
+            return Ok(Response::Err(kind.because(detail)));
         }
         if let Some(generation) = head.strip_prefix("GEN ") {
             let generation = generation
@@ -1011,7 +1149,7 @@ mod tests {
             "EXPAND notanum 1 0\nF 3 0.5",
         ] {
             let err = Request::parse(bad).unwrap_err();
-            assert!(err.starts_with("malformed"), "{bad:?} -> {err}");
+            assert_eq!(err.kind, ErrKind::Malformed, "{bad:?} -> {err}");
         }
     }
 
@@ -1025,9 +1163,9 @@ mod tests {
             Ok(Request::Query { k, .. }) if k == MAX_K
         ));
         let over = format!("QUERY 1 {} kw", MAX_K + 1);
-        assert!(Request::parse(&over).unwrap_err().starts_with("malformed"));
+        assert_eq!(Request::parse(&over).unwrap_err().kind, ErrKind::Malformed);
         let huge = "QUERY 1 18446744073709551615 kw";
-        assert!(Request::parse(huge).unwrap_err().starts_with("malformed"));
+        assert_eq!(Request::parse(huge).unwrap_err().kind, ErrKind::Malformed);
 
         // Keyword count: 32 passes, 33 is malformed.
         let kws = |n: usize| {
@@ -1042,7 +1180,7 @@ mod tests {
             Ok(Request::Query { keywords, .. }) if keywords.len() == MAX_KEYWORDS
         ));
         let over = format!("QUERY 1 5 {}", kws(MAX_KEYWORDS + 1));
-        assert!(Request::parse(&over).unwrap_err().starts_with("malformed"));
+        assert_eq!(Request::parse(&over).unwrap_err().kind, ErrKind::Malformed);
     }
 
     #[test]
@@ -1062,7 +1200,7 @@ mod tests {
             text.push_str("\nASSIGN 1 0");
         }
         let err = Request::parse(&text).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
+        assert!(err.detail.contains("exceeds"), "{err}");
     }
 
     #[test]
@@ -1071,8 +1209,8 @@ mod tests {
             Response::Pong,
             Response::Bye,
             Response::Generation(42),
-            Response::Err("timeout".into()),
-            Response::Err("reload-failed: corrupt store: walks".into()),
+            Response::Err(ErrKind::Timeout.into()),
+            Response::Err(ErrKind::ReloadFailed.because("corrupt store: walks")),
             Response::Topics {
                 ranked: vec![(7, 0.137), (2, 1.0 / 3.0), (0, 0.0)],
                 cached: true,

@@ -17,6 +17,7 @@ use crate::cache::{FlightRole, InflightMap, QueryCache, QueryKey, StaleReason};
 use crate::engine::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
 use crate::metrics::Metrics;
 use crate::pool::JobReply;
+use crate::protocol::{ErrKind, WireError};
 use crate::trace::TraceCollector;
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
@@ -67,10 +68,6 @@ pub struct ServerConfig {
     /// the client sockets; connections cost file descriptors, not threads,
     /// so this stays small no matter how many clients are connected.
     pub io_threads: usize,
-    /// Single-flight coalescing: concurrent identical cold queries share
-    /// one execution and one cache fill. On by default; off restores one
-    /// execution per admitted query.
-    pub coalesce: bool,
     /// Propagation tables the searcher probes between cancellation checks.
     /// Smaller means a timed-out query releases its worker sooner, at the
     /// cost of more frequent deadline reads.
@@ -119,7 +116,6 @@ impl Default for ServerConfig {
             query_budget: Duration::from_secs(5),
             io_timeout: Duration::from_secs(30),
             io_threads: 2,
-            coalesce: true,
             cancel_check_tables: CancelToken::DEFAULT_CHECK_EVERY,
             poison_user: None,
             drag_user: None,
@@ -242,10 +238,10 @@ impl ServerState {
     /// generation for the whole load.
     ///
     /// # Errors
-    /// A `reload-failed: …` reason when the snapshot is missing, torn, or
+    /// [`ErrKind::ReloadFailed`] when the snapshot is missing, torn, or
     /// corrupt; the old generation keeps serving and `reload_failures` is
     /// bumped.
-    pub fn reload(&self, dir: &Path) -> Result<u64, String> {
+    pub fn reload(&self, dir: &Path) -> Result<u64, WireError> {
         let base = self.current();
         self.admin_swap(|| {
             let next = base.engine.successor_from_dir(dir)?;
@@ -264,9 +260,9 @@ impl ServerState {
     /// flushing: untouched users keep hitting across the generation bump.
     ///
     /// # Errors
-    /// A `reload-failed: …` reason when the delta is invalid (bad edge or
+    /// [`ErrKind::ReloadFailed`] when the delta is invalid (bad edge or
     /// unknown topic); the old generation keeps serving.
-    pub fn apply_update(&self, delta: &Delta) -> Result<(u64, UpdateReport), String> {
+    pub fn apply_update(&self, delta: &Delta) -> Result<(u64, UpdateReport), WireError> {
         if delta.is_empty() {
             return Ok((self.current().generation, UpdateReport::default()));
         }
@@ -287,9 +283,9 @@ impl ServerState {
     /// thread.
     ///
     /// # Errors
-    /// A `reload-failed: …` reason; the staging slot is left as it was and
+    /// [`ErrKind::ReloadFailed`]; the staging slot is left as it was and
     /// `reload_failures` is bumped.
-    pub fn prepare_dir(&self, dir: &Path) -> Result<(), String> {
+    pub fn prepare_dir(&self, dir: &Path) -> Result<(), WireError> {
         let base = self.current();
         self.stage(|| base.engine.successor_from_dir(dir))
     }
@@ -299,7 +295,7 @@ impl ServerState {
     ///
     /// # Errors
     /// Same contract as [`ServerState::prepare_dir`].
-    pub fn prepare_update(&self, delta: &Delta) -> Result<(), String> {
+    pub fn prepare_update(&self, delta: &Delta) -> Result<(), WireError> {
         let base = self.current();
         self.stage(|| Ok(base.engine.successor_from_delta(delta)?.0))
     }
@@ -309,8 +305,8 @@ impl ServerState {
     /// itself is just a pointer swap.
     fn stage(
         &self,
-        build: impl FnOnce() -> Result<Arc<dyn ServeEngine>, String>,
-    ) -> Result<(), String> {
+        build: impl FnOnce() -> Result<Arc<dyn ServeEngine>, WireError>,
+    ) -> Result<(), WireError> {
         let started = Instant::now();
         if !self.config.reload_drag.is_zero() {
             std::thread::sleep(self.config.reload_drag);
@@ -332,8 +328,8 @@ impl ServerState {
     /// the generation.
     ///
     /// # Errors
-    /// A `reload-failed: …` reason when nothing is staged.
-    pub fn commit_staged(&self) -> Result<u64, String> {
+    /// [`ErrKind::ReloadFailed`] when nothing is staged.
+    pub fn commit_staged(&self) -> Result<u64, WireError> {
         let staged = self.staged.lock().take();
         match staged {
             Some(engine) => {
@@ -347,7 +343,7 @@ impl ServerState {
             }
             None => {
                 Metrics::bump(&self.metrics.reload_failures);
-                Err("reload-failed: nothing staged; PREPARE first".to_string())
+                Err(ErrKind::ReloadFailed.because("nothing staged; PREPARE first"))
             }
         }
     }
@@ -365,8 +361,8 @@ impl ServerState {
     /// maintaining the reload counters and latency histogram either way.
     fn admin_swap(
         &self,
-        build: impl FnOnce() -> Result<(Arc<dyn ServeEngine>, CacheAction), String>,
-    ) -> Result<u64, String> {
+        build: impl FnOnce() -> Result<(Arc<dyn ServeEngine>, CacheAction), WireError>,
+    ) -> Result<u64, WireError> {
         let started = Instant::now();
         if !self.config.reload_drag.is_zero() {
             std::thread::sleep(self.config.reload_drag);
@@ -390,15 +386,15 @@ impl ServerState {
     /// is consistent with the engine the query will run on.
     ///
     /// # Errors
-    /// A `malformed …` reason when the user is out of range or a keyword is
-    /// not in the vocabulary; sent back verbatim in an `ERR` reply.
+    /// [`ErrKind::Malformed`] when the user is out of range or a keyword is
+    /// not in the vocabulary; sent back as the `ERR` reply.
     pub fn make_key(
         &self,
         engine: &dyn ServeEngine,
         user: u32,
         k: usize,
         keywords: &[String],
-    ) -> Result<QueryKey, String> {
+    ) -> Result<QueryKey, WireError> {
         // A shard slice refuses direct queries outright: its local answer
         // would be silently wrong once expansion crosses shard boundaries.
         if let Some(reason) = engine.forbid_direct_query() {
@@ -406,9 +402,9 @@ impl ServerState {
         }
         let nodes = engine.node_count();
         if user as usize >= nodes {
-            return Err(format!(
-                "malformed: user {user} out of range (graph has {nodes} users)"
-            ));
+            return Err(ErrKind::Malformed.because(format!(
+                "user {user} out of range (graph has {nodes} users)"
+            )));
         }
         let terms = engine.resolve_terms(keywords)?;
         // Keyword order and duplicates never change the answer — the searcher

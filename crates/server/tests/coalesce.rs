@@ -157,41 +157,6 @@ fn herd_of_identical_cold_queries_executes_exactly_once() {
 }
 
 #[test]
-fn coalescing_off_runs_every_query_itself() {
-    let state = Arc::new(ServerState::new(
-        Arc::new(tiny_engine()),
-        ServerConfig {
-            workers: HERD,
-            cache_capacity: 0,
-            coalesce: false,
-            query_budget: Duration::from_secs(30),
-            ..ServerConfig::default()
-        },
-    ));
-    let handle = serve(Arc::clone(&state), "127.0.0.1:0").expect("bind");
-    let query = Request::Query {
-        user: 7,
-        k: 5,
-        keywords: vec!["query-0".to_string()],
-    };
-    let replies = herd(handle.addr(), &query);
-    for reply in &replies {
-        assert!(matches!(reply, Response::Topics { cached: false, .. }));
-    }
-
-    let mut c = TcpStream::connect(handle.addr()).expect("connect");
-    let Response::Stats(pairs) = ask(&mut c, &Request::Stats) else {
-        panic!("expected stats");
-    };
-    assert_eq!(get_stat(&pairs, "inflight_executions"), HERD as u64);
-    assert_eq!(get_stat(&pairs, "coalesced_queries"), 0);
-    assert_eq!(get_stat(&pairs, "queries"), HERD as u64);
-
-    ask(&mut c, &Request::Shutdown);
-    handle.join();
-}
-
-#[test]
 fn total_wall_wait_honors_the_budget() {
     // Regression for the deadline overshoot: the budget used to be measured
     // from pool submission, so validation/cache-probe time was added on
@@ -222,7 +187,10 @@ fn total_wall_wait_honors_the_budget() {
         },
     );
     let waited = started.elapsed();
-    assert_eq!(reply, Response::Err("timeout".to_string()));
+    assert!(
+        matches!(&reply, Response::Err(reason) if reason.to_string() == "timeout"),
+        "got {reply:?}"
+    );
     assert!(
         waited < Duration::from_millis(700),
         "timeout reply must arrive within the budget plus slack, took {waited:?}"

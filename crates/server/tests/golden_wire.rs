@@ -12,7 +12,8 @@
 
 use pit::{PitEngine, SummarizerKind};
 use pit_index::PropIndexConfig;
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
+use pit_server::cache::StaleReason;
+use pit_server::protocol::{read_frame, write_frame, ErrKind, Request, Response};
 use pit_server::{serve, ServerConfig, ServerState};
 use pit_summarize::LrwConfig;
 use pit_walk::WalkConfig;
@@ -239,6 +240,30 @@ fn stats_and_metrics_wire_replies_match_the_golden_registry() {
 
     ask(&mut c, &Request::Shutdown);
     handle.join();
+}
+
+/// Operators read the docs, not the source: every name they can meet on
+/// the wire — STATS keys, Prometheus series, `ERR` classes, stale reasons —
+/// appears backticked in README.md or DESIGN.md (§15.1 holds the tables).
+#[test]
+fn every_wire_name_is_documented() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let docs: String = ["README.md", "DESIGN.md"]
+        .iter()
+        .map(|f| std::fs::read_to_string(root.join(f)).expect("read doc"))
+        .collect();
+    let missing: Vec<&str> = STATS_KEYS
+        .iter()
+        .copied()
+        .chain(METRIC_NAMES.iter().map(|(name, _)| *name))
+        .chain(ErrKind::ALL.iter().map(|kind| kind.as_str()))
+        .chain(StaleReason::ALL.iter().map(|reason| reason.as_str()))
+        .filter(|name| !docs.contains(&format!("`{name}`")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "wire names documented in neither README.md nor DESIGN.md: {missing:?}"
+    );
 }
 
 /// The plain (unlabeled, non-histogram) sample value for `name`.

@@ -5,7 +5,7 @@
 //! multi-line bodies.
 
 use pit_server::protocol::{
-    read_frame, ProbeTable, Request, Response, MAX_EXPAND_PROBES, MAX_K, MAX_KEYWORDS,
+    read_frame, ErrKind, ProbeTable, Request, Response, MAX_EXPAND_PROBES, MAX_K, MAX_KEYWORDS,
     MAX_TRACE_DUMP,
 };
 use proptest::prelude::*;
@@ -59,6 +59,23 @@ const TOKENS: &[&str] = &[
     "\r\n",
     "",
 ];
+
+/// Fragments an `ERR` detail is assembled from: prose, the separators the
+/// parser splits the class off with, and taxonomy words in detail position.
+const DETAIL_TOKENS: &[&str] = &[
+    "corrupt store",
+    "shard 2 (127.0.0.1:7871)",
+    "timeout",
+    "reload-failed:",
+    "—",
+    ":",
+    " ",
+    "  ",
+    "k 0",
+];
+
+/// First words that are *not* in the taxonomy (near misses included).
+const BOGUS_CLASSES: &[&str] = &["", "weird", "time", "timeouts", "Timeout", "reload_failed"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -185,7 +202,11 @@ proptest! {
         ranked in proptest::collection::vec((any::<u32>(), 0.0f64..1.0), 0..=8),
         stats in proptest::collection::vec((0u32..1000, any::<u64>()), 0..=8),
         partial_seeds in proptest::collection::vec((any::<u32>(), 0usize..3), 0..=3),
+        err_kind in 0usize..ErrKind::ALL.len(),
+        detail_seeds in proptest::collection::vec(0usize..DETAIL_TOKENS.len(), 0..=5),
+        bogus in 0usize..BOGUS_CLASSES.len(),
     ) {
+        let detail: String = detail_seeds.iter().map(|&i| DETAIL_TOKENS[i]).collect();
         let reasons = ["timeout", "overloaded", "internal"];
         let partial: Vec<(u32, String)> = partial_seeds
             .iter()
@@ -195,7 +216,7 @@ proptest! {
             Response::Pong,
             Response::Bye,
             Response::Generation(generation),
-            Response::Err("timeout".to_string()),
+            Response::Err(ErrKind::ALL[err_kind].because(detail.clone())),
             Response::Staged,
             Response::Topics {
                 ranked: ranked.clone(),
@@ -212,6 +233,9 @@ proptest! {
         ] {
             prop_assert_eq!(Response::parse(&resp.render()), Ok(resp));
         }
+        // The class set is closed: any other first word is a parse error.
+        let unknown = format!("ERR {}: {detail}", BOGUS_CLASSES[bogus]);
+        prop_assert!(Response::parse(&unknown).is_err(), "{unknown:?} parsed");
     }
 
     /// Router-facing responses survive render → parse for arbitrary

@@ -3,7 +3,8 @@
 use pit_graph::{CsrGraph, NodeId, TermId};
 use pit_index::{PropIndexConfig, PropagationIndex};
 use pit_search_core::{
-    CancelToken, PersonalizedSearcher, SearchConfig, SearchError, SearchOutcome, TopicRepIndex,
+    CancelToken, NoTracer, PersonalizedSearcher, SearchConfig, SearchError, SearchOutcome,
+    SearchScratch, SearchTracer, TopicRepIndex,
 };
 use pit_summarize::{LrwConfig, LrwSummarizer, RclConfig, RclSummarizer, SummarizeContext};
 use pit_topics::{KeywordQuery, TopicSpace, Vocabulary};
@@ -177,13 +178,18 @@ impl PitEngine {
     /// Panics if `query.user` is outside the graph; use
     /// [`PitEngine::try_search`] for a typed error instead.
     pub fn search(&self, query: &KeywordQuery, k: usize) -> SearchOutcome {
-        match self.try_search(query, k, &CancelToken::none()) {
+        let (cancel, mut scratch) = (CancelToken::none(), SearchScratch::new());
+        match self.try_search(query, k, &cancel, &mut NoTracer, &mut scratch) {
             Ok(outcome) => outcome,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Run a query under a cancellation/deadline token, without panicking.
+    /// Run a query under a cancellation/deadline token, without panicking
+    /// — see [`PersonalizedSearcher::try_search`] for `tracer` (stage
+    /// callbacks for the serving stack's per-query traces; `&mut NoTracer`
+    /// for none) and `scratch` (serving workers keep one per thread so
+    /// repeated queries reuse every per-query buffer).
     ///
     /// # Errors
     /// [`SearchError::UserOutOfRange`] for an unindexed user, or
@@ -193,39 +199,8 @@ impl PitEngine {
         query: &KeywordQuery,
         k: usize,
         cancel: &CancelToken,
-    ) -> Result<SearchOutcome, SearchError> {
-        self.try_search_traced(query, k, cancel, &mut pit_search_core::NoTracer)
-    }
-
-    /// [`PitEngine::try_search`] with stage callbacks for the serving
-    /// stack's per-query traces (see [`pit_search_core::SearchTracer`]).
-    ///
-    /// # Errors
-    /// Same as [`PitEngine::try_search`].
-    pub fn try_search_traced(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-        cancel: &CancelToken,
-        tracer: &mut dyn pit_search_core::SearchTracer,
-    ) -> Result<SearchOutcome, SearchError> {
-        let mut scratch = pit_search_core::SearchScratch::new();
-        self.try_search_traced_with(query, k, cancel, tracer, &mut scratch)
-    }
-
-    /// [`PitEngine::try_search_traced`] with a caller-owned
-    /// [`pit_search_core::SearchScratch`]: serving workers keep one scratch
-    /// per thread so repeated queries reuse every per-query buffer.
-    ///
-    /// # Errors
-    /// Same as [`PitEngine::try_search`].
-    pub fn try_search_traced_with(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-        cancel: &CancelToken,
-        tracer: &mut dyn pit_search_core::SearchTracer,
-        scratch: &mut pit_search_core::SearchScratch,
+        tracer: &mut dyn SearchTracer,
+        scratch: &mut SearchScratch,
     ) -> Result<SearchOutcome, SearchError> {
         let config = SearchConfig {
             k,
@@ -233,7 +208,7 @@ impl PitEngine {
             prune: true,
         };
         PersonalizedSearcher::new(&self.space, &self.prop, &self.reps, config)
-            .try_search_traced_with(query, cancel, tracer, scratch)
+            .try_search(query, cancel, tracer, scratch)
     }
 
     /// Convenience: single-term query by id.

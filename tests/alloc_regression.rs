@@ -25,7 +25,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Build the figure-1 engine, round-trip it through a flat snapshot, and
 /// return the mapped load — the hot path under test is the one production
 /// workers run: query execution over arrays borrowed from the file mapping.
-fn mapped_engine() -> PitEngine {
+fn mapped_engine(tag: &str) -> PitEngine {
     let graph = figure1_graph();
     let mut vocab = pit_topics::Vocabulary::new();
     let phone = vocab.intern("phone");
@@ -39,7 +39,8 @@ fn mapped_engine() -> PitEngine {
     let built = PitEngine::builder()
         .walk(WalkConfig::new(4, 16).with_seed(7))
         .build_with_vocab(graph, b.build(), Some(vocab));
-    let dir = std::env::temp_dir().join(format!("pit-alloc-reg-{}", std::process::id()));
+    // Per-test directory: the two tests run on parallel threads.
+    let dir = std::env::temp_dir().join(format!("pit-alloc-reg-{tag}-{}", std::process::id()));
     store::save_engine(&dir, &built).unwrap();
     let engine = store::load_engine(&dir).unwrap();
     // A mapped engine keeps serving from the unlinked inode.
@@ -90,7 +91,7 @@ fn loop_alloc_calls(
 
 #[test]
 fn warm_round_loop_is_allocation_free() {
-    let engine = mapped_engine();
+    let engine = mapped_engine("loop");
     let query = KeywordQuery::new(user(3), vec![pit_graph::TermId(0)]);
     let mut scratch = SearchScratch::new();
 
@@ -113,7 +114,7 @@ fn warm_round_loop_is_allocation_free() {
 
 #[test]
 fn warm_full_search_allocates_only_the_result() {
-    let engine = mapped_engine();
+    let engine = mapped_engine("full");
     let query = KeywordQuery::new(user(3), vec![pit_graph::TermId(0)]);
     let cancel = CancelToken::none();
     let mut tracer = NoTracer;
@@ -122,13 +123,13 @@ fn warm_full_search_allocates_only_the_result() {
     // Two warm-up passes through the public entry point.
     for _ in 0..2 {
         engine
-            .try_search_traced_with(&query, 3, &cancel, &mut tracer, &mut scratch)
+            .try_search(&query, 3, &cancel, &mut tracer, &mut scratch)
             .unwrap();
     }
 
     let before = alloc_calls();
     let out = engine
-        .try_search_traced_with(&query, 3, &cancel, &mut tracer, &mut scratch)
+        .try_search(&query, 3, &cancel, &mut tracer, &mut scratch)
         .unwrap();
     let delta = alloc_calls() - before;
     assert!(!out.top_k.is_empty());
