@@ -112,6 +112,13 @@ mod tests {
             decode(&bytes[..5]),
             Err(GraphError::CorruptSnapshot(_))
         ));
+        // A 40-byte file whose header claims u32::MAX edges.
+        let mut lying = bytes[..40].to_vec();
+        lying[9..17].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        assert!(matches!(
+            decode(&lying),
+            Err(GraphError::CorruptSnapshot(_))
+        ));
     }
 
     #[test]

@@ -128,5 +128,9 @@ mod tests {
         let n = b.len();
         b[n - 8..].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(decode(&b).is_err());
+        // A 40-byte payload whose first set claims u32::MAX representatives.
+        let mut b = bytes[..40].to_vec();
+        b[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&b).is_err());
     }
 }

@@ -212,6 +212,20 @@ mod tests {
         // Swapped streams.
         assert!(decode_space(&vb).is_err());
         assert!(decode_vocab(&sb).is_err());
+        // 40-byte payloads whose counts claim u32::MAX terms / members /
+        // vocabulary entries / term bytes.
+        let lying = |head: &[u8], fields: &[u32]| {
+            let mut b = head.to_vec();
+            for f in fields {
+                b.extend_from_slice(&f.to_le_bytes());
+            }
+            b.resize(40, 0);
+            b
+        };
+        assert!(decode_space(&lying(&sb[..21], &[1, 0, u32::MAX])).is_err());
+        assert!(decode_space(&lying(&sb[..21], &[1, 0, 0, u32::MAX])).is_err());
+        assert!(decode_vocab(&lying(&vb[..5], &[u32::MAX, 0])).is_err());
+        assert!(decode_vocab(&lying(&vb[..5], &[1, 0, u32::MAX])).is_err());
     }
 
     #[test]

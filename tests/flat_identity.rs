@@ -140,3 +140,49 @@ proptest! {
         }
     }
 }
+
+/// The on-disk bytes are a contract between the offline build and every
+/// later `pit serve`: the Figure-1 engine with a fixed walk seed must
+/// encode to exactly these bytes, whatever the codecs look like inside.
+/// A changed constant here means old snapshots and corpora stop loading —
+/// that is a format version bump, not a refactor.
+#[test]
+fn codec_bytes_are_pinned() {
+    use pit_graph::fixtures::{figure1_graph, figure1_topics};
+    use pit_store::fnv64_words;
+
+    let graph = figure1_graph();
+    let mut vocab = pit_topics::Vocabulary::new();
+    let phone = vocab.intern("phone");
+    let mut tb = TopicSpaceBuilder::new(graph.node_count(), 1);
+    for members in &figure1_topics() {
+        let t = tb.add_topic(vec![phone]);
+        for &m in members {
+            tb.assign(m, t);
+        }
+    }
+    let engine = PitEngine::builder()
+        .walk(WalkConfig::new(4, 16).with_seed(3))
+        .build_with_vocab(graph, tb.build(), Some(vocab));
+
+    let dir = scratch_dir();
+    store::save_engine(&dir, &engine).unwrap();
+    let flat = std::fs::read(dir.join(store::FLAT_FILE)).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let graph = pit_graph::snapshot::encode(engine.graph());
+    let space = pit_topics::snapshot::encode_space(engine.space());
+    let vocab = pit_topics::snapshot::encode_vocab(engine.vocab().expect("built with one"));
+    let reps = pit_search_core::snapshot::encode(engine.reps());
+    // Recorded from the parent of the ByteReader rewrite (commit de46591).
+    for (name, bytes, want) in [
+        ("graph.pitg", &*graph, 0x0665_b49a_29c1_ed82_u64),
+        ("topics.pitt", &*space, 0x9b37_f66a_5fad_9db2),
+        ("vocab.pitv", &*vocab, 0xb07c_420e_9c6e_b943),
+        ("reps blob", &*reps, 0x3572_2b72_2257_91a5),
+        ("engine.pitf", &*flat, 0x8594_7b18_9580_7ffe),
+    ] {
+        let got = fnv64_words(bytes);
+        assert_eq!(got, want, "{name} hashes to {got:#018x}");
+    }
+}
