@@ -10,10 +10,14 @@ use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
 use crate::ids::NodeId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use pit_store::{ByteReader, FlatError};
 
 const MAGIC: &[u8; 4] = b"PITG";
 const VERSION: u8 = 1;
+/// Magic, version, `u32` node count, `u64` edge count.
+const HEADER_LEN: usize = 4 + 1 + 4 + 8;
+/// Two `u32` endpoints and an `f64` probability.
+const EDGE_LEN: usize = 4 + 4 + 8;
 
 /// Format limit on the node count: ids are `u32`, and bounding the header
 /// field keeps a corrupt snapshot from requesting an absurd allocation
@@ -21,51 +25,54 @@ const VERSION: u8 = 1;
 /// full-scale dataset).
 pub const MAX_NODES: usize = 1 << 26;
 
-/// Serialize `g` into a self-describing byte buffer.
-pub fn encode(g: &CsrGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + g.edge_count() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(g.node_count() as u32);
-    buf.put_u64_le(g.edge_count() as u64);
-    for (u, v, p) in g.edges() {
-        buf.put_u32_le(u.0);
-        buf.put_u32_le(v.0);
-        buf.put_f64_le(p);
+impl From<FlatError> for GraphError {
+    fn from(e: FlatError) -> Self {
+        GraphError::CorruptSnapshot(e.to_string())
     }
-    buf.freeze()
+}
+
+/// Serialize `g` into a self-describing byte buffer.
+pub fn encode(g: &CsrGraph) -> Box<[u8]> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + g.edge_count() * EDGE_LEN);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(g.node_count() as u32).to_le_bytes());
+    buf.extend_from_slice(&(g.edge_count() as u64).to_le_bytes());
+    for (u, v, p) in g.edges() {
+        buf.extend_from_slice(&u.0.to_le_bytes());
+        buf.extend_from_slice(&v.0.to_le_bytes());
+        buf.extend_from_slice(&p.to_le_bytes());
+    }
+    buf.into_boxed_slice()
 }
 
 /// Deserialize a graph previously produced by [`encode`].
-pub fn decode(mut data: &[u8]) -> Result<CsrGraph> {
+pub fn decode(data: &[u8]) -> Result<CsrGraph> {
     let corrupt = |msg: &str| GraphError::CorruptSnapshot(msg.to_string());
-    if data.len() < 4 + 1 + 4 + 8 {
-        return Err(corrupt("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut r = ByteReader::new(data, "graph snapshot");
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = data.get_u8();
+    let version = r.read_u8()?;
     if version != VERSION {
         return Err(GraphError::CorruptSnapshot(format!(
             "unsupported version {version}"
         )));
     }
-    let node_count = data.get_u32_le() as usize;
-    let edge_count = data.get_u64_le() as usize;
+    let node_count = r.read_u32()? as usize;
+    let edge_count = r.read_len()?;
     if node_count > MAX_NODES {
         return Err(corrupt("node count exceeds format limit"));
     }
-    if data.remaining() != edge_count.saturating_mul(16) {
+    // Also what bounds the builder's edge-count-sized allocation.
+    if edge_count.checked_mul(EDGE_LEN) != Some(r.remaining()) {
         return Err(corrupt("edge payload length mismatch"));
     }
     let mut b = GraphBuilder::with_capacity(node_count, edge_count);
     for _ in 0..edge_count {
-        let u = NodeId(data.get_u32_le());
-        let v = NodeId(data.get_u32_le());
-        let p = data.get_f64_le();
+        let u = NodeId(r.read_u32()?);
+        let v = NodeId(r.read_u32()?);
+        let p = r.read_f64()?;
         b.add_edge(u, v, p)
             .map_err(|e| GraphError::CorruptSnapshot(format!("invalid edge: {e}")))?;
     }

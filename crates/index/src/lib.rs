@@ -21,7 +21,6 @@
 
 pub mod node;
 pub mod prop;
-pub mod snapshot;
 
 pub use node::{Gamma, NodePropagation};
 pub use prop::{PropIndexConfig, PropagationIndex};

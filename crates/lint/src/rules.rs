@@ -89,12 +89,15 @@ const L3_TOKENS: &[&str] = &["Ordering::Relaxed", "Ordering::SeqCst"];
 const BOUND_LOOKBACK: usize = 40;
 
 /// Files whose length arithmetic L9 audits: the wire protocol (lengths come
-/// from the socket) and the snapshot/shard-manifest load paths (lengths
-/// come from disk).
+/// from the socket) and the snapshot, corpus-file and shard-manifest load
+/// paths (lengths come from disk).
 const L9_SCOPE: &[&str] = &[
     "crates/server/src/protocol.rs",
     "src/store.rs",
     "src/shard.rs",
+    "crates/graph/src/snapshot.rs",
+    "crates/topics/src/snapshot.rs",
+    "crates/search/src/snapshot.rs",
 ];
 
 fn in_scope(rel: &str, scope: &[&str]) -> bool {

@@ -6,12 +6,14 @@
 //! between refreshes is the expected deployment mode.
 
 use crate::repindex::TopicRepIndex;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pit_graph::{NodeId, TopicId};
+use pit_store::{ByteReader, FlatError};
 use pit_summarize::RepresentativeSet;
 
 const MAGIC: &[u8; 4] = b"PITR";
 const VERSION: u8 = 1;
+/// A `u32` node id and its `f64` weight.
+const REP_LEN: usize = 4 + 8;
 
 /// Snapshot decoding error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,59 +26,53 @@ impl std::fmt::Display for SnapshotError {
 }
 impl std::error::Error for SnapshotError {}
 
+impl From<FlatError> for SnapshotError {
+    fn from(e: FlatError) -> Self {
+        SnapshotError(e.to_string())
+    }
+}
+
 fn err(msg: &str) -> SnapshotError {
     SnapshotError(msg.to_string())
 }
 
 /// Serialize the index into a self-describing buffer.
-pub fn encode(idx: &TopicRepIndex) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + idx.total_reps() * 12 + idx.len() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(idx.len() as u64);
+pub fn encode(idx: &TopicRepIndex) -> Box<[u8]> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(idx.len() as u64).to_le_bytes());
     for t in 0..idx.len() {
         let set = idx.get(TopicId::from_index(t));
-        buf.put_u32_le(set.len() as u32);
+        buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
         for (node, w) in set.iter() {
-            buf.put_u32_le(node.0);
-            buf.put_f64_le(w);
+            buf.extend_from_slice(&node.0.to_le_bytes());
+            buf.extend_from_slice(&w.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf.into_boxed_slice()
 }
 
 /// Deserialize an index previously produced by [`encode`].
-pub fn decode(mut data: &[u8]) -> Result<TopicRepIndex, SnapshotError> {
-    if data.len() < 4 + 1 + 8 {
-        return Err(err("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn decode(data: &[u8]) -> Result<TopicRepIndex, SnapshotError> {
+    let mut r = ByteReader::new(data, "representative index");
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(err("bad magic"));
     }
-    if data.get_u8() != VERSION {
+    if r.read_u8()? != VERSION {
         return Err(err("unsupported version"));
     }
-    let n = data.get_u64_le() as usize;
-    // Each set costs at least 4 bytes (its length field); bound n before
-    // allocating.
-    if n.saturating_mul(4) > data.remaining() {
-        return Err(err("topic count exceeds payload"));
-    }
+    let n = r.read_len()?;
+    // A set is at least its length field.
+    r.check_count(n, 4)?;
     let mut sets = Vec::with_capacity(n);
     for t in 0..n {
-        if data.remaining() < 4 {
-            return Err(err("truncated set length"));
-        }
-        let k = data.get_u32_le() as usize;
-        if data.remaining() < k * 12 {
-            return Err(err("truncated set payload"));
-        }
+        let k = r.read_u32()? as usize;
+        r.check_count(k, REP_LEN)?;
         let mut pairs = Vec::with_capacity(k);
         for _ in 0..k {
-            let node = NodeId(data.get_u32_le());
-            let w = data.get_f64_le();
+            let node = NodeId(r.read_u32()?);
+            let w = r.read_f64()?;
             if !(w.is_finite() && w >= 0.0) {
                 return Err(err("invalid representative weight"));
             }
@@ -84,7 +80,7 @@ pub fn decode(mut data: &[u8]) -> Result<TopicRepIndex, SnapshotError> {
         }
         sets.push(RepresentativeSet::new(TopicId::from_index(t), pairs));
     }
-    if data.has_remaining() {
+    if r.remaining() != 0 {
         return Err(err("trailing bytes"));
     }
     Ok(TopicRepIndex::from_sets(sets))

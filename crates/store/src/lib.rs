@@ -25,10 +25,11 @@
 //!
 //! What goes **in** the sections is the caller's business: the root `pit`
 //! crate composes the engine snapshot out of typed arrays (via [`Pod`]) and
-//! opaque blobs (the legacy per-crate codecs for small artifacts). Every
-//! corruption — truncation, bit flip, misaligned offset, overlapping or
-//! out-of-order table entries, a wrong checksum — surfaces as a typed
-//! [`FlatError`], never a panic.
+//! opaque blobs (the topic-space, vocabulary and representative-index
+//! codecs, which parse their bytes through this crate's [`ByteReader`] like
+//! the container does its own). Every corruption — truncation, bit flip,
+//! misaligned offset, overlapping or out-of-order table entries, a wrong
+//! checksum — surfaces as a typed [`FlatError`], never a panic.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

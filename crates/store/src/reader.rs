@@ -80,6 +80,16 @@ impl<'a> ByteReader<'a> {
         })
     }
 
+    /// Check that `count` elements of at least `min_size` bytes each can
+    /// still follow — the guard to run on a count read from the bytes
+    /// before allocating or looping in proportion to it.
+    pub fn check_count(&self, count: usize, min_size: usize) -> Result<(), FlatError> {
+        match count.checked_mul(min_size) {
+            Some(need) if need <= self.remaining() => Ok(()),
+            _ => Err(self.truncated()),
+        }
+    }
+
     fn truncated(&self) -> FlatError {
         FlatError::Truncated {
             what: format!("{} (at byte {})", self.what, self.pos),
@@ -108,6 +118,15 @@ mod tests {
             Err(FlatError::Truncated { what }) => assert!(what.contains("meta")),
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_count_the_payload_cannot_hold_is_a_typed_truncation() {
+        let r = ByteReader::new(&[0u8; 40], "reps");
+        assert!(r.check_count(10, 4).is_ok());
+        assert!(r.check_count(11, 4).is_err());
+        assert!(r.check_count(u32::MAX as usize, 12).is_err());
+        assert!(r.check_count(usize::MAX, 2).is_err());
     }
 
     #[test]

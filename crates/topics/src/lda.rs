@@ -267,8 +267,11 @@ pub fn synthetic_corpus(
 mod tests {
     use super::*;
 
+    /// 80 tokens per document: at 40, a few sampler seeds of the vendored
+    /// `rand` (the default among them) merge two blocks; at 80, all of
+    /// 20 sampler seeds × 3 corpus seeds tried recover the four.
     fn fitted() -> (Vec<Document>, usize, LdaModel) {
-        let (docs, vocab) = synthetic_corpus(120, 4, 12, 40, 7);
+        let (docs, vocab) = synthetic_corpus(120, 4, 12, 80, 7);
         let model = LdaModel::fit(
             &docs,
             vocab,

@@ -5,8 +5,8 @@
 
 use crate::space::{TopicSpace, TopicSpaceBuilder};
 use crate::vocab::Vocabulary;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pit_graph::{NodeId, TermId};
+use pit_store::{ByteReader, FlatError};
 
 const SPACE_MAGIC: &[u8; 4] = b"PITT";
 const VOCAB_MAGIC: &[u8; 4] = b"PITV";
@@ -23,139 +23,131 @@ impl std::fmt::Display for SnapshotError {
 }
 impl std::error::Error for SnapshotError {}
 
+impl From<FlatError> for SnapshotError {
+    fn from(e: FlatError) -> Self {
+        SnapshotError(e.to_string())
+    }
+}
+
 fn err(msg: &str) -> SnapshotError {
     SnapshotError(msg.to_string())
 }
 
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Consume the magic and version that open both streams.
+fn read_preamble(r: &mut ByteReader<'_>, magic: &[u8; 4]) -> Result<(), SnapshotError> {
+    if r.take(magic.len())? != magic {
+        return Err(err("bad magic"));
+    }
+    if r.read_u8()? != VERSION {
+        return Err(err("unsupported version"));
+    }
+    Ok(())
+}
+
 /// Serialize a topic space.
-pub fn encode_space(space: &TopicSpace) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(SPACE_MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(space.node_count() as u64);
-    buf.put_u64_le(space.term_count() as u64);
-    buf.put_u64_le(space.topic_count() as u64);
+pub fn encode_space(space: &TopicSpace) -> Box<[u8]> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(SPACE_MAGIC);
+    buf.push(VERSION);
+    put_u64(&mut buf, space.node_count() as u64);
+    put_u64(&mut buf, space.term_count() as u64);
+    put_u64(&mut buf, space.topic_count() as u64);
     for t in space.topics() {
         let terms = space.topic_terms(t);
-        buf.put_u32_le(terms.len() as u32);
+        put_u32(&mut buf, terms.len() as u32);
         for &term in terms {
-            buf.put_u32_le(term.0);
+            put_u32(&mut buf, term.0);
         }
         let nodes = space.topic_nodes(t);
-        buf.put_u32_le(nodes.len() as u32);
+        put_u32(&mut buf, nodes.len() as u32);
         for &n in nodes {
-            buf.put_u32_le(n.0);
+            put_u32(&mut buf, n.0);
         }
     }
-    buf.freeze()
+    buf.into_boxed_slice()
 }
 
 /// Deserialize a topic space produced by [`encode_space`].
-pub fn decode_space(mut data: &[u8]) -> Result<TopicSpace, SnapshotError> {
-    if data.len() < 4 + 1 + 24 {
-        return Err(err("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != SPACE_MAGIC {
-        return Err(err("bad magic"));
-    }
-    if data.get_u8() != VERSION {
-        return Err(err("unsupported version"));
-    }
-    let node_count = data.get_u64_le() as usize;
-    let term_count = data.get_u64_le() as usize;
-    let topic_count = data.get_u64_le() as usize;
+pub fn decode_space(data: &[u8]) -> Result<TopicSpace, SnapshotError> {
+    let mut r = ByteReader::new(data, "topic space");
+    read_preamble(&mut r, SPACE_MAGIC)?;
+    let node_count = r.read_len()?;
+    let term_count = r.read_len()?;
+    let topic_count = r.read_len()?;
     // Bound header counts before any count-proportional allocation: ids are
     // u32 and the builder materializes per-node/per-term vectors.
-    if node_count > pit_graph::snapshot::MAX_NODES
-        || term_count > pit_graph::snapshot::MAX_NODES
-        || topic_count.saturating_mul(8) > data.remaining()
-    {
-        return Err(err("header count exceeds format limit or payload"));
+    if node_count > pit_graph::snapshot::MAX_NODES || term_count > pit_graph::snapshot::MAX_NODES {
+        return Err(err("header count exceeds format limit"));
     }
+    // A topic is at least its two length fields.
+    r.check_count(topic_count, 8)?;
     let mut b = TopicSpaceBuilder::new(node_count, term_count);
     for _ in 0..topic_count {
-        if data.remaining() < 4 {
-            return Err(err("truncated term count"));
-        }
-        let nt = data.get_u32_le() as usize;
-        if data.remaining() < nt * 4 + 4 {
-            return Err(err("truncated terms"));
-        }
+        let nt = r.read_u32()? as usize;
+        r.check_count(nt, 4)?;
         let mut terms = Vec::with_capacity(nt);
         for _ in 0..nt {
-            let term = data.get_u32_le();
+            let term = r.read_u32()?;
             if term as usize >= term_count {
                 return Err(err("term out of range"));
             }
             terms.push(TermId(term));
         }
         let topic = b.add_topic(terms);
-        let nn = data.get_u32_le() as usize;
-        if data.remaining() < nn * 4 {
-            return Err(err("truncated members"));
-        }
+        let nn = r.read_u32()? as usize;
+        r.check_count(nn, 4)?;
         for _ in 0..nn {
-            let node = data.get_u32_le();
+            let node = r.read_u32()?;
             if node as usize >= node_count {
                 return Err(err("member out of range"));
             }
             b.assign(NodeId(node), topic);
         }
     }
-    if data.has_remaining() {
+    if r.remaining() != 0 {
         return Err(err("trailing bytes"));
     }
     Ok(b.build())
 }
 
 /// Serialize a vocabulary.
-pub fn encode_vocab(vocab: &Vocabulary) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(VOCAB_MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(vocab.len() as u64);
+pub fn encode_vocab(vocab: &Vocabulary) -> Box<[u8]> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(VOCAB_MAGIC);
+    buf.push(VERSION);
+    put_u64(&mut buf, vocab.len() as u64);
     for i in 0..vocab.len() {
         let term = vocab.term(TermId::from_index(i));
-        buf.put_u32_le(term.len() as u32);
-        buf.put_slice(term.as_bytes());
+        put_u32(&mut buf, term.len() as u32);
+        buf.extend_from_slice(term.as_bytes());
     }
-    buf.freeze()
+    buf.into_boxed_slice()
 }
 
 /// Deserialize a vocabulary produced by [`encode_vocab`].
-pub fn decode_vocab(mut data: &[u8]) -> Result<Vocabulary, SnapshotError> {
-    if data.len() < 4 + 1 + 8 {
-        return Err(err("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != VOCAB_MAGIC {
-        return Err(err("bad magic"));
-    }
-    if data.get_u8() != VERSION {
-        return Err(err("unsupported version"));
-    }
-    let n = data.get_u64_le() as usize;
+pub fn decode_vocab(data: &[u8]) -> Result<Vocabulary, SnapshotError> {
+    let mut r = ByteReader::new(data, "vocabulary");
+    read_preamble(&mut r, VOCAB_MAGIC)?;
+    let n = r.read_len()?;
+    // A term is at least its length field.
+    r.check_count(n, 4)?;
     let mut vocab = Vocabulary::new();
     for i in 0..n {
-        if data.remaining() < 4 {
-            return Err(err("truncated term length"));
-        }
-        let len = data.get_u32_le() as usize;
-        if data.remaining() < len {
-            return Err(err("truncated term bytes"));
-        }
-        let bytes = &data[..len];
-        let s = std::str::from_utf8(bytes).map_err(|_| err("term is not UTF-8"))?;
-        let id = vocab.intern(s);
-        if id.index() != i {
+        let len = r.read_u32()? as usize;
+        let s = std::str::from_utf8(r.take(len)?).map_err(|_| err("term is not UTF-8"))?;
+        if vocab.intern(s).index() != i {
             return Err(err("duplicate term in vocabulary"));
         }
-        data.advance(len);
     }
-    if data.has_remaining() {
+    if r.remaining() != 0 {
         return Err(err("trailing bytes"));
     }
     Ok(vocab)
@@ -230,12 +222,10 @@ mod tests {
 
     #[test]
     fn vocab_rejects_invalid_utf8() {
-        let mut buf = bytes::BytesMut::new();
-        buf.put_slice(b"PITV");
-        buf.put_u8(1);
-        buf.put_u64_le(1);
-        buf.put_u32_le(2);
-        buf.put_slice(&[0xFF, 0xFE]);
+        let mut buf = b"PITV\x01".to_vec();
+        put_u64(&mut buf, 1);
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0xFF, 0xFE]);
         assert!(decode_vocab(&buf).is_err());
     }
 }

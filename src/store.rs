@@ -21,8 +21,9 @@
 //! ```
 //!
 //! Three loaders trade validation depth for speed; all of them parse the
-//! META blob through the bounds-checked [`pit_store::ByteReader`] and run
-//! the same O(1) cross-artifact consistency checks:
+//! META blob through the bounds-checked [`pit_store::ByteReader`] (as
+//! `pit_topics::snapshot` and `pit_search_core::snapshot` do the three
+//! small blobs) and run the same O(1) cross-artifact consistency checks:
 //!
 //! - [`load_engine`] — maps the file read-only, validates the section
 //!   geometry in O(sections), verifies every payload checksum in one
@@ -32,9 +33,8 @@
 //!   checksum pass: O(sections) total, for `RELOAD` of snapshots this
 //!   process (or its deploy pipeline) just wrote and checksummed.
 //! - [`load_engine_owned`] — deep-copies every array into owned memory and
-//!   runs the per-element `validate_deep` invariants. The paranoid path
-//!   for artifacts of unknown provenance, and the baseline the zero-copy
-//!   loaders are proven bit-identical against.
+//!   runs the per-element `validate_deep` invariants: the reference the
+//!   zero-copy loaders are proven bit-identical against.
 //!
 //! A directory holding the pre-flat per-artifact layout (`graph.pitg` et
 //! al.) is reported as [`StoreError::UnsupportedVersion`], not garbage:
@@ -59,7 +59,7 @@ const LEGACY_GRAPH_FILE: &str = "graph.pitg";
 // Section kinds of the engine container. Kind 0 is reserved by the format
 // for the header/table region; blobs carry their artifact's own magic-and-
 // version framing, arrays are raw little-endian element runs.
-/// Engine settings blob (see [`encode_meta`] for the byte layout).
+/// Engine settings blob (`encode_meta` documents the byte layout).
 pub const SEC_META: u16 = 1;
 /// Graph out-CSR offsets (`u32`, `node_count + 1`).
 pub const SEC_GRAPH_OUT_OFFSETS: u16 = 2;
@@ -280,18 +280,12 @@ fn encode_flat(engine: &PitEngine) -> FlatWriter {
 
     w.push_blob(
         SEC_TOPICS,
-        pit_topics::snapshot::encode_space(engine.space()).as_ref(),
+        &pit_topics::snapshot::encode_space(engine.space()),
     );
     if let Some(vocab) = engine.vocab() {
-        w.push_blob(
-            SEC_VOCAB,
-            pit_topics::snapshot::encode_vocab(vocab).as_ref(),
-        );
+        w.push_blob(SEC_VOCAB, &pit_topics::snapshot::encode_vocab(vocab));
     }
-    w.push_blob(
-        SEC_REPS,
-        pit_search_core::snapshot::encode(engine.reps()).as_ref(),
-    );
+    w.push_blob(SEC_REPS, &pit_search_core::snapshot::encode(engine.reps()));
     w
 }
 
@@ -429,9 +423,8 @@ pub fn load_engine_fast(dir: &Path) -> Result<PitEngine, StoreError> {
 
 /// [`load_engine`] with every array deep-copied into owned memory and the
 /// per-element `validate_deep` invariants checked (monotonic offsets,
-/// in-range ids, finite probabilities). The paranoid loader for snapshots
-/// of unknown provenance — and the baseline the zero-copy loaders are
-/// proven bit-identical against in the test battery.
+/// in-range ids, finite probabilities) — the reference the zero-copy
+/// loaders are proven bit-identical against in the test battery.
 pub fn load_engine_owned(dir: &Path) -> Result<PitEngine, StoreError> {
     load_flat(dir, LoadMode::Owned)
 }

@@ -10,13 +10,11 @@
 //! silently-wrong engine (any corruption the checksummed loader accepts
 //! must leave every ranking bit-identical to the pristine snapshot's).
 
-use pit_graph::fixtures::{figure1_graph, figure1_topics, figure3_graph};
+use pit_graph::fixtures::{figure1_graph, figure1_topics};
 use pit_graph::{TermId, TopicId};
-use pit_index::{PropIndexConfig, PropagationIndex};
 use pit_search_core::TopicRepIndex;
 use pit_summarize::RepresentativeSet;
 use pit_topics::TopicSpaceBuilder;
-use pit_walk::{WalkConfig, WalkIndex};
 use proptest::prelude::*;
 
 fn space() -> pit_topics::TopicSpace {
@@ -36,8 +34,6 @@ type Decoder = fn(&[u8]) -> bool;
 
 fn payloads() -> Vec<(String, Vec<u8>, Decoder)> {
     let graph = figure1_graph();
-    let walks = WalkIndex::build(&graph, WalkConfig::new(3, 4));
-    let prop = PropagationIndex::build(&figure3_graph(), PropIndexConfig::default());
     let reps = TopicRepIndex::from_sets(vec![RepresentativeSet::new(
         TopicId(0),
         vec![(pit_graph::NodeId(1), 0.5)],
@@ -52,16 +48,6 @@ fn payloads() -> Vec<(String, Vec<u8>, Decoder)> {
             "graph".into(),
             pit_graph::snapshot::encode(&graph).to_vec(),
             |b| pit_graph::snapshot::decode(b).is_ok(),
-        ),
-        (
-            "walks".into(),
-            pit_walk::snapshot::encode(&walks).to_vec(),
-            |b| pit_walk::snapshot::decode(b).is_ok(),
-        ),
-        (
-            "prop".into(),
-            pit_index::snapshot::encode(&prop).to_vec(),
-            |b| pit_index::snapshot::decode(b).is_ok(),
         ),
         (
             "reps".into(),
