@@ -5,6 +5,11 @@
 //! or silent drop is a breaking change that must fail loudly in review.
 //! Adding a metric is fine: add it to the golden list in the same commit.
 //!
+//! The whole METRICS body — every `# HELP` text, `# TYPE`, label and `le`
+//! bound, in order, with only the sample values stripped — is compared
+//! against `golden_metrics.txt`, so a reworded help line or a reordered
+//! series fails here too.
+//!
 //! The METRICS body is additionally checked for Prometheus text-exposition
 //! well-formedness: every series has a `# TYPE`, every sample line parses,
 //! and every histogram's cumulative buckets are monotone and consistent
@@ -23,7 +28,7 @@ use std::time::Duration;
 
 /// Every key the `STATS` reply carries, in reply order.
 const STATS_KEYS: &[&str] = &[
-    // Serving counters (Metrics::snapshot).
+    // Serving counters.
     "queries",
     "shed",
     "timeouts",
@@ -52,7 +57,7 @@ const STATS_KEYS: &[&str] = &[
     "warmup_queries",
     "warmup_coverage",
     "warmup_budget_exhausted",
-    // Cache counters (QueryCache::snapshot).
+    // Cache counters.
     "cache_entries",
     "cache_capacity",
     "cache_hits",
@@ -84,6 +89,10 @@ const STATS_KEYS: &[&str] = &[
     // borrowed windows of the snapshot mapping, "owned" otherwise.
     "snapshot_format",
 ];
+
+/// The `METRICS` body of a single-node server with every sample value
+/// stripped (see [`strip_sample_values`]).
+const GOLDEN_METRICS: &str = include_str!("golden_metrics.txt");
 
 /// Every Prometheus series the `METRICS` reply exposes, in reply order.
 const METRIC_NAMES: &[(&str, &str)] = &[
@@ -227,6 +236,15 @@ fn stats_and_metrics_wire_replies_match_the_golden_registry() {
         );
     }
     assert_valid_prometheus(&body);
+    let stripped = strip_sample_values(&body);
+    for (n, (got, want)) in stripped.lines().zip(GOLDEN_METRICS.lines()).enumerate() {
+        assert_eq!(got, want, "METRICS line {} diverged from golden", n + 1);
+    }
+    assert_eq!(
+        stripped.lines().count(),
+        GOLDEN_METRICS.lines().count(),
+        "METRICS body gained or lost lines against golden_metrics.txt"
+    );
 
     // The traffic above must be visible: sampled traces, queries, a cache
     // hit, and a malformed-request error.
@@ -264,6 +282,18 @@ fn every_wire_name_is_documented() {
         missing.is_empty(),
         "wire names documented in neither README.md nor DESIGN.md: {missing:?}"
     );
+}
+
+/// The exposition with each sample line cut back to its series (name plus
+/// labels): comments, order, label syntax and `le` bounds all survive.
+fn strip_sample_values(body: &str) -> String {
+    body.lines()
+        .map(|l| match l.rsplit_once(' ') {
+            Some((series, _)) if !l.starts_with('#') => series,
+            _ => l,
+        })
+        .flat_map(|l| [l, "\n"])
+        .collect()
 }
 
 /// The plain (unlabeled, non-histogram) sample value for `name`.
