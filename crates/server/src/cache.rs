@@ -4,7 +4,8 @@
 //! guaranteed to be byte-identical to recomputing. Entries form an intrusive
 //! doubly-linked list over a slab (`Vec`) — `get`/`insert` are O(1) with no
 //! per-operation allocation beyond the stored value — behind one
-//! `parking_lot::Mutex`, with hit/miss/eviction counters read by `STATS`.
+//! `parking_lot::Mutex`, with hit/miss/eviction counters
+//! ([`CacheCounters`], declared in the metrics registry) read by `STATS`.
 //!
 //! Every entry is tagged with the engine **generation** that computed it,
 //! plus an optional **stale reason**. A full `RELOAD` marks every entry
@@ -20,13 +21,13 @@
 //! The cache also keeps a small space-saving frequency sketch of looked-up
 //! keys; [`QueryCache::hottest`] feeds the post-reload warmup job.
 
+use crate::metrics::CacheCounters;
 use crate::protocol::wire_enum;
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use pit::DeltaScope;
 use pit_graph::{NodeId, TermId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cache key: the complete identity of a query.
@@ -145,15 +146,7 @@ struct Inner<V> {
 pub struct QueryCache<V> {
     inner: Mutex<Inner<V>>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    stale_evictions: AtomicU64,
-    /// Entries that outlived an `UPDATE` swap because the delta provably
-    /// could not change their answer.
-    survivors: AtomicU64,
-    /// Entries marked stale, by [`StaleReason::index`].
-    stale_by_reason: [AtomicU64; StaleReason::ALL.len()],
+    counters: CacheCounters,
 }
 
 impl<V: Clone> QueryCache<V> {
@@ -175,12 +168,7 @@ impl<V: Clone> QueryCache<V> {
                 },
             ),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stale_evictions: AtomicU64::new(0),
-            survivors: AtomicU64::new(0),
-            stale_by_reason: StaleReason::ALL.map(|_| AtomicU64::new(0)),
+            counters: CacheCounters::default(),
         }
     }
 
@@ -193,24 +181,24 @@ impl<V: Clone> QueryCache<V> {
     /// [`QueryCache::hottest`].
     pub fn get(&self, key: &QueryKey, generation: u64) -> Option<V> {
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.misses.inc();
             return None;
         }
         let mut inner = self.inner.lock();
         inner.hot.record(key);
         let Some(&slot) = inner.map.get(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.misses.inc();
             return None;
         };
         if inner.slots[slot].stale.is_some() || inner.slots[slot].generation != generation {
             inner.remove(slot);
-            self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.stale_evictions.inc();
+            self.counters.misses.inc();
             return None;
         }
         inner.unlink(slot);
         inner.push_front(slot);
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.counters.hits.inc();
         Some(inner.slots[slot].value.clone())
     }
 
@@ -249,7 +237,7 @@ impl<V: Clone> QueryCache<V> {
         if inner.map.len() >= self.capacity {
             if let Some(slot) = inner.pop_stale_slot() {
                 inner.remove(slot);
-                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters.stale_evictions.inc();
             } else {
                 let lru = inner.tail;
                 debug_assert_ne!(lru, NIL);
@@ -262,7 +250,7 @@ impl<V: Clone> QueryCache<V> {
                 inner.map.remove(&old_key);
                 inner.map.insert(key, lru);
                 inner.push_front(lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters.evictions.inc();
                 return;
             }
         }
@@ -304,7 +292,7 @@ impl<V: Clone> QueryCache<V> {
             }
             inner.slots[slot].stale = Some(reason);
             inner.stale_slots.push(slot);
-            self.stale_by_reason[reason.index()].fetch_add(1, Ordering::Relaxed);
+            self.counters.stale_by_reason[reason.index()].inc();
         }
     }
 
@@ -338,11 +326,11 @@ impl<V: Clone> QueryCache<V> {
                 Some(reason) => {
                     inner.slots[slot].stale = Some(reason);
                     inner.stale_slots.push(slot);
-                    self.stale_by_reason[reason.index()].fetch_add(1, Ordering::Relaxed);
+                    self.counters.stale_by_reason[reason.index()].inc();
                 }
                 None => {
                     inner.slots[slot].generation = to_gen;
-                    self.survivors.fetch_add(1, Ordering::Relaxed);
+                    self.counters.survivors.inc();
                 }
             }
         }
@@ -353,50 +341,16 @@ impl<V: Clone> QueryCache<V> {
         self.inner.lock().hot.top(n)
     }
 
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Evictions so far (capacity pressure only; see
-    /// [`QueryCache::stale_evictions`]).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted because their generation no longer matched the
-    /// serving engine.
-    pub fn stale_evictions(&self) -> u64 {
-        self.stale_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Entries that outlived an `UPDATE` swap untouched.
-    pub fn survivors(&self) -> u64 {
-        self.survivors.load(Ordering::Relaxed)
-    }
-
-    /// Entries marked stale so far, per reason ([`StaleReason::ALL`] order).
-    pub fn stale_by_reason(&self) -> [u64; StaleReason::ALL.len()] {
-        StaleReason::ALL.map(|r| self.stale_by_reason[r.index()].load(Ordering::Relaxed))
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The hit/miss/eviction/staleness counters (entries marked stale are
+    /// counted per [`StaleReason::index`]).
+    pub fn counters(&self) -> &CacheCounters {
+        &self.counters
     }
 
     /// Entries currently cached, split into live and swap-killed stale
-    /// (still occupying slots until lazily evicted or reclaimed).
+    /// (still occupying slots until lazily evicted or reclaimed). The one
+    /// census call: a reply that wants the total adds the two, so it can
+    /// never disagree with the split it reports beside it.
     pub fn len_by_liveness(&self) -> (usize, usize) {
         let inner = self.inner.lock();
         let stale = inner
@@ -405,39 +359,6 @@ impl<V: Clone> QueryCache<V> {
             .filter(|&&slot| inner.slots[slot].stale.is_some())
             .count();
         (inner.map.len() - stale, stale)
-    }
-
-    /// `(name, value)` pairs for the `STATS` reply.
-    pub fn snapshot(&self) -> Vec<(String, String)> {
-        let hits = self.hits();
-        let misses = self.misses();
-        let rate = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
-        let (live, stale) = self.len_by_liveness();
-        let by_reason = self.stale_by_reason();
-        let mut pairs = vec![
-            ("cache_entries".into(), (live + stale).to_string()),
-            ("cache_capacity".into(), self.capacity.to_string()),
-            ("cache_hits".into(), hits.to_string()),
-            ("cache_misses".into(), misses.to_string()),
-            ("cache_evictions".into(), self.evictions().to_string()),
-            (
-                "cache_stale_evictions".into(),
-                self.stale_evictions().to_string(),
-            ),
-            ("cache_hit_rate".into(), format!("{rate:.4}")),
-            ("cache_entries_live".into(), live.to_string()),
-            ("cache_entries_stale".into(), stale.to_string()),
-            ("cache_survivors".into(), self.survivors().to_string()),
-        ];
-        pairs.extend(StaleReason::ALL.iter().zip(by_reason).map(|(r, n)| {
-            let key = format!("cache_stale_{}", r.as_str().replace('-', "_"));
-            (key, n.to_string())
-        }));
-        pairs
     }
 }
 
@@ -707,6 +628,12 @@ mod tests {
         QueryKey::new(user, 10, vec![TermId(0)])
     }
 
+    /// Entries resident, live or stale.
+    fn len(cache: &QueryCache<u64>) -> usize {
+        let (live, stale) = cache.len_by_liveness();
+        live + stale
+    }
+
     #[test]
     fn stale_reason_wire_spelling_round_trips() {
         for reason in StaleReason::ALL {
@@ -721,8 +648,8 @@ mod tests {
         assert_eq!(cache.get(&key(1), G), None);
         cache.insert(key(1), G, 11);
         assert_eq!(cache.get(&key(1), G), Some(11));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.counters().hits.get(), 1);
+        assert_eq!(cache.counters().misses.get(), 1);
     }
 
     #[test]
@@ -740,16 +667,16 @@ mod tests {
         // Generation 2 takes over: the old entry must not answer, and must
         // be gone afterwards — even for a later generation-1 reader.
         assert_eq!(cache.get(&key(1), 2), None);
-        assert_eq!(cache.stale_evictions(), 1);
+        assert_eq!(cache.counters().stale_evictions.get(), 1);
         assert_eq!(cache.get(&key(1), 1), None, "stale entry must be evicted");
-        assert_eq!(cache.len(), 1, "only the untouched entry remains");
+        assert_eq!(len(&cache), 1, "only the untouched entry remains");
         // Re-populated under generation 2, it hits again.
         cache.insert(key(1), 2, 33);
         assert_eq!(cache.get(&key(1), 2), Some(33));
         // The untouched generation-1 entry still lazily dies on first touch.
         assert_eq!(cache.get(&key(2), 2), None);
-        assert_eq!(cache.stale_evictions(), 2);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.counters().stale_evictions.get(), 2);
+        assert_eq!(len(&cache), 1);
     }
 
     #[test]
@@ -758,8 +685,8 @@ mod tests {
         cache.insert(key(1), 1, 10);
         cache.insert(key(1), 2, 20);
         assert_eq!(cache.get(&key(1), 2), Some(20));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 0);
+        assert_eq!(len(&cache), 1);
+        assert_eq!(cache.counters().evictions.get(), 0);
     }
 
     #[test]
@@ -772,8 +699,8 @@ mod tests {
         cache.insert(key(3), 2, 30); // must reuse the freed slot
         assert_eq!(cache.get(&key(3), 2), Some(30));
         cache.insert(key(4), 2, 40); // at capacity again → LRU eviction
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(len(&cache), 2);
+        assert_eq!(cache.counters().evictions.get(), 1);
     }
 
     #[test]
@@ -785,12 +712,12 @@ mod tests {
         // Touch 0 so 1 becomes LRU.
         assert!(cache.get(&key(0), G).is_some());
         cache.insert(key(3), G, 3);
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.counters().evictions.get(), 1);
         assert_eq!(cache.get(&key(1), G), None, "LRU entry should be gone");
         assert!(cache.get(&key(0), G).is_some());
         assert!(cache.get(&key(2), G).is_some());
         assert!(cache.get(&key(3), G).is_some());
-        assert_eq!(cache.len(), 3);
+        assert_eq!(len(&cache), 3);
     }
 
     #[test]
@@ -799,8 +726,8 @@ mod tests {
         cache.insert(key(1), G, 10);
         cache.insert(key(1), G, 20);
         assert_eq!(cache.get(&key(1), G), Some(20));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 0);
+        assert_eq!(len(&cache), 1);
+        assert_eq!(cache.counters().evictions.get(), 0);
     }
 
     #[test]
@@ -808,7 +735,7 @@ mod tests {
         let cache: QueryCache<u64> = QueryCache::new(0);
         cache.insert(key(1), G, 10);
         assert_eq!(cache.get(&key(1), G), None);
-        assert_eq!(cache.len(), 0);
+        assert_eq!(len(&cache), 0);
     }
 
     #[test]
@@ -818,7 +745,7 @@ mod tests {
             cache.insert(key(round % 13), G, round as u64);
             let _ = cache.get(&key((round * 7) % 13), G);
         }
-        assert!(cache.len() <= 8);
+        assert!(len(&cache) <= 8);
         // Every cached entry must still be retrievable.
         let mut live = 0;
         for u in 0..13 {
@@ -836,11 +763,14 @@ mod tests {
         cache.insert(key(2), 1, 22);
         cache.mark_all_stale(StaleReason::FullReload);
         assert_eq!(cache.len_by_liveness(), (0, 2));
-        assert_eq!(cache.stale_by_reason()[StaleReason::FullReload.index()], 2);
+        assert_eq!(
+            cache.counters().stale_by_reason[StaleReason::FullReload.index()].get(),
+            2
+        );
         // Same generation, but the flag alone kills the entry on touch.
         assert_eq!(cache.get(&key(1), 1), None);
-        assert_eq!(cache.stale_evictions(), 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.counters().stale_evictions.get(), 1);
+        assert_eq!(len(&cache), 1);
     }
 
     #[test]
@@ -853,14 +783,18 @@ mod tests {
         // of evicting each other through the LRU path.
         cache.insert(key(3), 2, 33);
         cache.insert(key(4), 2, 44);
-        assert_eq!(cache.evictions(), 0, "no live entry was evicted");
+        assert_eq!(
+            cache.counters().evictions.get(),
+            0,
+            "no live entry was evicted"
+        );
         assert_eq!(cache.get(&key(3), 2), Some(33));
         assert_eq!(cache.get(&key(4), 2), Some(44));
         assert_eq!(cache.len_by_liveness(), (2, 0));
         // Genuinely full of live entries again: LRU eviction resumes.
         cache.insert(key(5), 2, 55);
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.counters().evictions.get(), 1);
+        assert_eq!(len(&cache), 2);
     }
 
     #[test]
@@ -881,12 +815,12 @@ mod tests {
             edge_terms: vec![TermId(3)],
         };
         cache.retag_after_update(1, 2, &scope);
-        assert_eq!(cache.survivors(), 1);
-        let by = cache.stale_by_reason();
-        assert_eq!(by[StaleReason::EdgeAdded.index()], 2);
-        assert_eq!(by[StaleReason::AssignmentChanged.index()], 1);
-        assert_eq!(by[StaleReason::FullReload.index()], 1);
-        assert_eq!(by[StaleReason::EdgeRemoved.index()], 0);
+        assert_eq!(cache.counters().survivors.get(), 1);
+        let by = |reason: StaleReason| cache.counters().stale_by_reason[reason.index()].get();
+        assert_eq!(by(StaleReason::EdgeAdded), 2);
+        assert_eq!(by(StaleReason::AssignmentChanged), 1);
+        assert_eq!(by(StaleReason::FullReload), 1);
+        assert_eq!(by(StaleReason::EdgeRemoved), 0);
         // The survivor answers under the new generation without recompute…
         assert_eq!(
             cache.get(&QueryKey::new(3, 10, vec![TermId(9)]), 2),
@@ -924,7 +858,11 @@ mod tests {
         assert!(cache.contains(&key(1), 1));
         assert!(!cache.contains(&key(1), 2), "wrong generation");
         assert!(!cache.contains(&key(2), 1), "never inserted");
-        assert_eq!(cache.hits() + cache.misses(), 0, "peeks count nothing");
+        assert_eq!(
+            cache.counters().hits.get() + cache.counters().misses.get(),
+            0,
+            "peeks count nothing"
+        );
         cache.mark_all_stale(StaleReason::FullReload);
         assert!(!cache.contains(&key(1), 1), "stale entries don't count");
     }
@@ -1069,7 +1007,7 @@ mod tests {
             let _ = cache.get(&key((round * 7) % 13), generation);
             let _ = cache.get(&key((round * 3) % 13), generation.saturating_sub(1));
         }
-        assert!(cache.len() <= 8);
+        assert!(len(&cache) <= 8);
         let final_generation = 1 + (1999 / 100) as u64;
         let mut live = 0;
         for u in 0..13 {
@@ -1078,6 +1016,6 @@ mod tests {
             }
         }
         assert!(live <= 8);
-        assert!(cache.stale_evictions() > 0);
+        assert!(cache.counters().stale_evictions.get() > 0);
     }
 }

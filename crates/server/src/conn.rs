@@ -15,10 +15,9 @@
 
 use crate::cache::QueryKey;
 use crate::event::EventShared;
-use crate::metrics::Metrics;
 use crate::pool::{Admission, ExpandJob, Job, JobError, JobReply, QueryJob, ReplyTo};
 use crate::protocol::{self, ErrKind, Request, Response, MAX_FRAME_BYTES};
-use crate::trace::TraceCtx;
+use crate::trace::{TraceCtx, TraceOutcome};
 use crate::{AdminJob, AdminReply};
 use crossbeam::channel::{self, Receiver, TryRecvError};
 use pit::Delta;
@@ -204,28 +203,13 @@ impl Conn {
                         // joiner observes its own wait and closes its own
                         // trace before the reply is released.
                         let elapsed = started.elapsed();
-                        let outcome = match &reply {
-                            Ok((_, _, partial)) => {
-                                shared.state.metrics().latency.observe(elapsed);
-                                if partial.is_empty() {
-                                    "ok"
-                                } else {
-                                    "partial"
-                                }
-                            }
-                            Err(JobError::Search(SearchError::Cancelled { .. })) => "timeout",
-                            Err(JobError::Panicked) => "panic",
-                            Err(
-                                JobError::Search(SearchError::UserOutOfRange { .. })
-                                | JobError::Shard(_)
-                                | JobError::Shed
-                                | JobError::Closed,
-                            ) => "error",
-                        };
+                        if reply.is_ok() {
+                            shared.state.metrics().latency.observe(elapsed);
+                        }
                         shared.state.tracing().finish(
                             trace,
                             &key,
-                            outcome,
+                            TraceOutcome::from(&reply),
                             false,
                             None,
                             elapsed,
@@ -242,7 +226,7 @@ impl Conn {
                         shared.state.tracing().finish(
                             trace,
                             &key,
-                            "timeout",
+                            TraceOutcome::Timeout,
                             false,
                             None,
                             started.elapsed(),
@@ -270,7 +254,7 @@ impl Conn {
                         shared.state.tracing().finish(
                             trace,
                             &key,
-                            "error",
+                            TraceOutcome::Error,
                             false,
                             None,
                             started.elapsed(),
@@ -548,12 +532,18 @@ impl Conn {
             u64::from(looked_up.is_some()),
         );
         if let Some(ranked) = looked_up {
-            Metrics::bump(&state.metrics().queries);
+            state.metrics().queries.inc();
             let elapsed = started.elapsed();
             state.metrics().latency.observe(elapsed);
-            state
-                .tracing()
-                .finish(trace, &key, "ok", true, None, elapsed, state.metrics());
+            state.tracing().finish(
+                trace,
+                &key,
+                TraceOutcome::Ok,
+                true,
+                None,
+                elapsed,
+                state.metrics(),
+            );
             self.queue(&Response::Topics {
                 ranked: (*ranked).clone(),
                 cached: true,
@@ -657,7 +647,7 @@ fn reply_response(shared: &EventShared, reply: &JobReply) -> Response {
     let metrics = shared.state.metrics();
     let err = match reply {
         Ok((ranked, micros, partial)) => {
-            Metrics::bump(&metrics.queries);
+            metrics.queries.inc();
             return Response::Topics {
                 ranked: (**ranked).clone(),
                 cached: false,

@@ -139,8 +139,8 @@ pub trait ServeEngine: Send + Sync {
     }
 
     /// Bytes of index data served directly from a read-only file mapping
-    /// (0 for fully-owned engines). Exported as the
-    /// `pit_reload_bytes_mapped` gauge.
+    /// (0 for fully-owned engines). Exported by the registry's
+    /// `reload_bytes_mapped` row.
     fn mapped_bytes(&self) -> u64 {
         0
     }

@@ -18,7 +18,6 @@
 //! loop exits as soon as its last connection finishes.
 
 use crate::conn::Conn;
-use crate::metrics::Metrics;
 use crate::pool::WorkerPool;
 use crate::state::ServerState;
 use crate::AdminJob;
@@ -61,7 +60,7 @@ pub(crate) fn io_loop(shared: &EventShared, incoming: &Receiver<TcpStream>) {
                         // Accepted just as the drain began: closing the
                         // socket unanswered is exactly what the listener
                         // going away looks like to the client.
-                        Metrics::dec(&shared.state.metrics().open_connections);
+                        shared.state.metrics().open_connections.dec();
                         drop(stream);
                     } else {
                         conns.push(Conn::new(stream, Instant::now()));
@@ -81,7 +80,7 @@ pub(crate) fn io_loop(shared: &EventShared, incoming: &Receiver<TcpStream>) {
                 progress = true;
             }
             if !stepped.alive {
-                Metrics::dec(&shared.state.metrics().open_connections);
+                shared.state.metrics().open_connections.dec();
             }
             stepped.alive
         });

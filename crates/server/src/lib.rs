@@ -86,7 +86,7 @@ pub use protocol::{
     read_frame, write_frame, ErrKind, ProbeTable, Request, Response, WireError, MAX_FRAME_BYTES,
 };
 pub use state::{EngineGen, RankedTopics, ServerConfig, ServerState};
-pub use trace::{TraceCollector, TraceCtx};
+pub use trace::{TraceCollector, TraceCtx, TraceOutcome};
 
 use crossbeam::channel::{self, Receiver, Sender};
 use pit::Delta;
@@ -287,15 +287,15 @@ fn warm_cache(state: &ServerState, jobs: &PoolClient) {
     let metrics = state.metrics();
     let current = state.current();
     let keys = state.hot_keys(state.config().warmup_top);
-    Metrics::set(&metrics.warmup_target, keys.len() as u64);
-    Metrics::set(&metrics.warmup_warmed, 0);
+    metrics.warmup_target.set(keys.len() as u64);
+    metrics.warmup_warmed.set(0);
     let deadline = Instant::now() + budget;
     let mut warmed = 0u64;
     for key in keys {
         let now = Instant::now();
         let remaining = deadline.saturating_duration_since(now);
         if remaining.is_zero() {
-            Metrics::bump(&metrics.warmup_budget_exhausted);
+            metrics.warmup_budget_exhausted.inc();
             break;
         }
         if key.user as usize >= current.engine.node_count() {
@@ -316,7 +316,7 @@ fn warm_cache(state: &ServerState, jobs: &PoolClient) {
         });
         match jobs.submit(job) {
             Admission::Queued => {
-                Metrics::bump(&metrics.warmup_queries);
+                metrics.warmup_queries.inc();
                 match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                     // try_execute filled the cache under the new generation.
                     Ok(Ok(_)) => warmed += 1,
@@ -325,7 +325,7 @@ fn warm_cache(state: &ServerState, jobs: &PoolClient) {
                     Err(_) => {
                         // Budget elapsed mid-flight; the worker's eventual
                         // cache fill still lands, but the run is over.
-                        Metrics::bump(&metrics.warmup_budget_exhausted);
+                        metrics.warmup_budget_exhausted.inc();
                         break;
                     }
                 }
@@ -334,7 +334,7 @@ fn warm_cache(state: &ServerState, jobs: &PoolClient) {
             Admission::Closed => break,
         }
     }
-    Metrics::set(&metrics.warmup_warmed, warmed);
+    metrics.warmup_warmed.set(warmed);
 }
 
 fn accept_loop(
@@ -350,12 +350,12 @@ fn accept_loop(
         match listener.accept() {
             Ok((mut stream, _)) => {
                 let metrics = shared.state.metrics();
-                Metrics::bump(&metrics.connections);
+                metrics.connections.inc();
                 if stream.set_nonblocking(true).is_err() {
                     // The fd is unusable for the event loop (exhaustion or a
                     // socket already dying): count it and tell the client,
                     // best effort, instead of dropping silently.
-                    Metrics::bump(&metrics.accept_errors);
+                    metrics.accept_errors.inc();
                     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
                     let _ = protocol::write_frame(
                         &mut stream,
@@ -364,7 +364,7 @@ fn accept_loop(
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                Metrics::bump(&metrics.open_connections);
+                metrics.open_connections.inc();
                 // Unbounded + round-robin: the send cannot fail while the
                 // I/O threads are alive, and they outlive this loop.
                 let _ = senders[next % senders.len()].send(stream);
@@ -372,7 +372,7 @@ fn accept_loop(
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(_) => {
-                Metrics::bump(&shared.state.metrics().accept_errors);
+                shared.state.metrics().accept_errors.inc();
                 std::thread::sleep(ACCEPT_POLL);
             }
         }

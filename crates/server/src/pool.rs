@@ -16,10 +16,9 @@
 
 use crate::cache::QueryKey;
 use crate::engine::ServeError;
-use crate::metrics::Metrics;
 use crate::protocol::{ErrKind, Response};
 use crate::state::{EngineGen, RankedTopics, ServerState};
-use crate::trace::TraceCtx;
+use crate::trace::{TraceCtx, TraceOutcome};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use pit_obs::trace::Stage;
@@ -168,15 +167,15 @@ impl PoolClient {
 /// decremented right back when the offer is refused.
 fn offer(jobs: &Sender<Job>, state: &ServerState, job: Job) -> Admission {
     let gauge = &state.metrics().queued_jobs;
-    Metrics::bump(gauge);
+    gauge.inc();
     match jobs.try_send(job) {
         Ok(()) => Admission::Queued,
         Err(TrySendError::Full(_)) => {
-            Metrics::dec(gauge);
+            gauge.dec();
             Admission::Overloaded
         }
         Err(TrySendError::Disconnected(_)) => {
-            Metrics::dec(gauge);
+            gauge.dec();
             Admission::Closed
         }
     }
@@ -271,7 +270,7 @@ struct Sentinel {
 impl Drop for Sentinel {
     fn drop(&mut self) {
         if std::thread::panicking() && !self.shared.draining.load(Ordering::Acquire) {
-            Metrics::bump(&self.shared.state.metrics().panics);
+            self.shared.state.metrics().panics.inc();
             // Already unwinding: a panic here would abort the process, so a
             // failed respawn is absorbed as reduced capacity, not escalated.
             if spawn_worker(&self.shared).is_err() {
@@ -291,7 +290,7 @@ fn worker_loop(rx: &Receiver<Job>, state: &ServerState) {
     // (caught below) is safe to reuse.
     let mut scratch = SearchScratch::new();
     while let Ok(job) = rx.recv() {
-        Metrics::dec(&state.metrics().queued_jobs);
+        state.metrics().queued_jobs.dec();
         match job {
             Job::Query(job) => run_query(job, state, &mut scratch),
             Job::Expand(job) => run_expand(job, state),
@@ -338,7 +337,7 @@ fn run_expand(job: ExpandJob, state: &ServerState) {
         },
         Ok(Err(err)) => Response::refusal(err, state.metrics()),
         Err(_) => {
-            Metrics::bump(&state.metrics().panics);
+            state.metrics().panics.inc();
             Response::refusal(
                 ErrKind::Internal.because("expand panicked"),
                 state.metrics(),
@@ -359,7 +358,7 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
             state.tracing().finish(
                 job.trace,
                 &job.key,
-                "timeout",
+                TraceOutcome::Timeout,
                 false,
                 None,
                 job.enqueued.elapsed(),
@@ -381,7 +380,7 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             state.try_execute(&job.engine, &job.key, &job.cancel, &mut job.trace, scratch)
         }));
-        let (reply, outcome, stats): (JobReply, &'static str, Option<SearchStats>) = match result {
+        let (reply, stats): (JobReply, Option<SearchStats>) = match result {
             Ok(Ok((ranked, serve))) => {
                 state.metrics().execution.observe(exec_started.elapsed());
                 let elapsed = job.enqueued.elapsed();
@@ -389,43 +388,31 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
                 if !job.cancel.is_cancelled() {
                     state.metrics().latency.observe(elapsed);
                 }
-                let label = if serve.partial.is_empty() {
-                    "ok"
-                } else {
-                    "partial"
-                };
-                (
-                    Ok((ranked, micros, serve.partial)),
-                    label,
-                    Some(serve.stats),
-                )
+                (Ok((ranked, micros, serve.partial)), Some(serve.stats))
             }
             Ok(Err(ServeError::Search(e))) => {
                 // A cancelled search still reports the work it did before
                 // the token fired — the trace and histograms see real work,
                 // not zeros.
-                let (outcome, stats) = match &e {
+                let stats = match &e {
                     SearchError::Cancelled {
                         probed_tables,
                         expand_rounds,
-                    } => (
-                        "timeout",
-                        Some(SearchStats {
-                            probed_tables: *probed_tables,
-                            expand_rounds: *expand_rounds,
-                            ..SearchStats::default()
-                        }),
-                    ),
-                    SearchError::UserOutOfRange { .. } => ("error", None),
+                    } => Some(SearchStats {
+                        probed_tables: *probed_tables,
+                        expand_rounds: *expand_rounds,
+                        ..SearchStats::default()
+                    }),
+                    SearchError::UserOutOfRange { .. } => None,
                 };
-                (Err(JobError::Search(e)), outcome, stats)
+                (Err(JobError::Search(e)), stats)
             }
-            Ok(Err(ServeError::Shard(reason))) => (Err(JobError::Shard(reason)), "error", None),
+            Ok(Err(ServeError::Shard(reason))) => (Err(JobError::Shard(reason)), None),
             Err(_) => {
                 // The panic payload already went to the panic hook (stderr);
                 // count it and keep serving.
-                Metrics::bump(&state.metrics().panics);
-                (Err(JobError::Panicked), "panic", None)
+                state.metrics().panics.inc();
+                (Err(JobError::Panicked), None)
             }
         };
         // Finalize the trace before releasing the waiter: a client that has
@@ -433,7 +420,7 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
         state.tracing().finish(
             job.trace,
             &job.key,
-            outcome,
+            TraceOutcome::from(&reply),
             false,
             stats,
             job.enqueued.elapsed(),

@@ -62,10 +62,9 @@
 //! reported as a timeout), and `reload-failed` (a `RELOAD`/`UPDATE` could
 //! not produce a servable engine; the prior generation keeps serving).
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::atomic::AtomicU64;
 
 /// Declare a fieldless enum whose variants have a wire spelling, from one
 /// `Variant => "spelling"` list. `ALL`, `as_str`, `from_str` and the dense
@@ -135,7 +134,7 @@ impl ErrKind {
     /// The counter that makes this class visible in `STATS`/`METRICS`.
     /// `shutting-down` is deliberately uncounted: it is the server's own
     /// lifecycle, not an anomaly.
-    pub fn counter(self, metrics: &Metrics) -> Option<&AtomicU64> {
+    pub fn counter(self, metrics: &Metrics) -> Option<&Counter> {
         match self {
             ErrKind::Timeout => Some(&metrics.timeouts),
             ErrKind::Overloaded => Some(&metrics.shed),
@@ -682,7 +681,7 @@ impl Response {
     pub fn refusal(err: impl Into<WireError>, metrics: &Metrics) -> Response {
         let err = err.into();
         if let Some(counter) = err.kind.counter(metrics) {
-            Metrics::bump(counter);
+            counter.inc();
         }
         Response::Err(err)
     }

@@ -15,7 +15,7 @@
 
 use crate::cache::{FlightRole, InflightMap, QueryCache, QueryKey, StaleReason};
 use crate::engine::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
-use crate::metrics::Metrics;
+use crate::metrics::{self, Metrics, View};
 use crate::pool::JobReply;
 use crate::protocol::{ErrKind, WireError};
 use crate::trace::TraceCollector;
@@ -23,7 +23,6 @@ use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 use pit::{Delta, DeltaScope, PitEngine, UpdateReport};
 use pit_graph::NodeId;
-use pit_obs::prom;
 use pit_search_core::{CancelToken, SearchScratch, SearchTracer};
 use pit_topics::KeywordQuery;
 use std::path::Path;
@@ -170,7 +169,7 @@ impl ServerState {
         ServerState {
             cache: QueryCache::new(config.cache_capacity),
             inflight: InflightMap::new(),
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             tracing: TraceCollector::new(
                 config.trace_sample,
                 config.slow_threshold,
@@ -318,7 +317,7 @@ impl ServerState {
                 Ok(())
             }
             Err(reason) => {
-                Metrics::bump(&self.metrics.reload_failures);
+                self.metrics.reload_failures.inc();
                 Err(reason)
             }
         }
@@ -338,11 +337,11 @@ impl ServerState {
                 // time passed since PREPARE — flush, don't guess.
                 let generation =
                     self.swap_engine(engine, CacheAction::Flush(StaleReason::FullReload));
-                Metrics::bump(&self.metrics.reloads);
+                self.metrics.reloads.inc();
                 Ok(generation)
             }
             None => {
-                Metrics::bump(&self.metrics.reload_failures);
+                self.metrics.reload_failures.inc();
                 Err(ErrKind::ReloadFailed.because("nothing staged; PREPARE first"))
             }
         }
@@ -370,12 +369,12 @@ impl ServerState {
         match build() {
             Ok((engine, action)) => {
                 let generation = self.swap_engine(engine, action);
-                Metrics::bump(&self.metrics.reloads);
+                self.metrics.reloads.inc();
                 self.metrics.reload_latency.observe(started.elapsed());
                 Ok(generation)
             }
             Err(reason) => {
-                Metrics::bump(&self.metrics.reload_failures);
+                self.metrics.reload_failures.inc();
                 Err(reason)
             }
         }
@@ -467,11 +466,11 @@ impl ServerState {
                     // its cancel handle is the only thing that releases it.
                     corpse.cancel();
                 }
-                Metrics::bump(&self.metrics.inflight_executions);
+                self.metrics.inflight_executions.inc();
                 Some(cancel)
             }
             FlightRole::Join => {
-                Metrics::bump(&self.metrics.coalesced_queries);
+                self.metrics.coalesced_queries.inc();
                 None
             }
         }
@@ -532,10 +531,9 @@ impl ServerState {
             .engine
             .try_search(&query, key.k, cancel, tracer, scratch)?;
         let ranked: RankedTopics = Arc::new(outcome.ranked.clone());
-        Metrics::add(
-            &self.metrics.shards_pruned,
-            u64::from(outcome.shards_pruned),
-        );
+        self.metrics
+            .shards_pruned
+            .add(u64::from(outcome.shards_pruned));
         for &(shard, micros) in &outcome.fanout_micros {
             self.metrics.observe_shard_fanout(shard, micros);
         }
@@ -549,189 +547,42 @@ impl ServerState {
             // A partial ranking is an honest degraded answer for *this*
             // request only — caching it would keep serving the degradation
             // after the shard recovers.
-            Metrics::bump(&self.metrics.partial_replies);
+            self.metrics.partial_replies.inc();
         }
         Ok((ranked, outcome))
     }
 
-    /// Everything `STATS` reports: serving counters, cache counters, the
-    /// serving generation, and a short inventory of the resident index.
-    pub fn stats(&self) -> Vec<(String, String)> {
-        let current = self.current();
-        let mut pairs = self.metrics.snapshot();
-        pairs.extend(self.cache.snapshot());
-        pairs.push(("generation".into(), current.generation.to_string()));
-        pairs.push(("workers".into(), self.config.workers.to_string()));
-        pairs.push(("queue_depth".into(), self.config.queue_depth.to_string()));
-        pairs.push(("io_threads".into(), self.config.io_threads.to_string()));
-        pairs.push((
-            "open_connections".into(),
-            Metrics::value(&self.metrics.open_connections).to_string(),
-        ));
-        pairs.push((
-            "queued_jobs".into(),
-            Metrics::value(&self.metrics.queued_jobs).to_string(),
-        ));
-        pairs.push((
-            "graph_nodes".into(),
-            current.engine.node_count().to_string(),
-        ));
-        pairs.push(("topics".into(), current.engine.topic_count().to_string()));
-        pairs.push((
-            "index_bytes".into(),
-            current.engine.index_bytes().to_string(),
-        ));
-        pairs.push(("shards".into(), current.engine.shard_count().to_string()));
-        pairs.push((
-            "snapshot_format".into(),
-            current.engine.snapshot_format().to_string(),
-        ));
-        pairs
-    }
-
-    /// Everything `METRICS` reports, as Prometheus text exposition: the
-    /// serving counters and histograms, the cache counters, and the
-    /// resident-index gauges. Names are part of the wire contract — a
-    /// rename breaks downstream dashboards, so the full set is pinned by a
-    /// golden test.
-    pub fn metrics_text(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        self.metrics.render_prometheus(&mut out);
-        prom::counter(
-            &mut out,
-            "pit_cache_hits_total",
-            "Result-cache hits",
-            self.cache.hits(),
-        );
-        prom::counter(
-            &mut out,
-            "pit_cache_misses_total",
-            "Result-cache misses",
-            self.cache.misses(),
-        );
-        prom::counter(
-            &mut out,
-            "pit_cache_evictions_total",
-            "Result-cache LRU evictions (capacity pressure)",
-            self.cache.evictions(),
-        );
-        prom::counter(
-            &mut out,
-            "pit_cache_stale_evictions_total",
-            "Result-cache entries lazily evicted after a generation swap",
-            self.cache.stale_evictions(),
-        );
-        prom::counter(
-            &mut out,
-            "pit_cache_survivors_total",
-            "Result-cache entries that outlived an UPDATE swap untouched",
-            self.cache.survivors(),
-        );
-        let by_reason = self.cache.stale_by_reason();
-        let reason_series: Vec<(&str, u64)> = StaleReason::ALL
-            .iter()
-            .zip(by_reason.iter())
-            .map(|(r, &v)| (r.as_str(), v))
-            .collect();
-        prom::counter_labeled(
-            &mut out,
-            "pit_cache_stale_by_reason_total",
-            "Result-cache entries marked stale by a swap, by reason",
-            "reason",
-            &reason_series,
-        );
+    /// Everything a reply is rendered from, captured once: the engine
+    /// serving right now, and the cache census under one lock acquisition —
+    /// so no reply can report `cache_entries ≠ live + stale` however many
+    /// inserts race the scrape.
+    fn view(&self) -> View<'_> {
         let current = self.current();
         let (cache_live, cache_stale) = self.cache.len_by_liveness();
-        prom::gauge(
-            &mut out,
-            "pit_generation",
-            "Engine generation serving right now",
-            current.generation,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_cache_entries",
-            "Result-cache entries resident",
-            self.cache.len() as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_cache_entries_live",
-            "Result-cache entries currently able to answer",
-            cache_live as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_cache_entries_stale",
-            "Swap-killed result-cache entries awaiting lazy eviction",
-            cache_stale as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_workers",
-            "Configured query worker threads",
-            self.config.workers as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_queue_depth",
-            "Configured request-queue capacity",
-            self.config.queue_depth as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_io_threads",
-            "Configured event-loop I/O threads",
-            self.config.io_threads as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_open_connections",
-            "Client connections currently registered with the I/O threads",
-            Metrics::value(&self.metrics.open_connections),
-        );
-        prom::gauge(
-            &mut out,
-            "pit_queued_jobs",
-            "Jobs currently admitted to the worker queue (queued or executing)",
-            Metrics::value(&self.metrics.queued_jobs),
-        );
-        prom::gauge(
-            &mut out,
-            "pit_graph_nodes",
-            "Social-graph nodes in the serving engine",
-            current.engine.node_count() as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_topics",
-            "Topics in the serving engine",
-            current.engine.topic_count() as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_index_bytes",
-            "Resident bytes of the three offline indexes",
-            current.engine.index_bytes() as u64,
-        );
-        prom::gauge(
-            &mut out,
-            "pit_shards",
-            "Backing shards answering for this server (1 unless routing)",
-            u64::from(current.engine.shard_count()),
-        );
-        prom::gauge_f64(
-            &mut out,
-            "pit_warmup_coverage",
-            "Fraction of the last warmup run's target keys repopulated",
-            self.metrics.warmup_coverage(),
-        );
-        prom::gauge(
-            &mut out,
-            "pit_reload_bytes_mapped",
-            "Index bytes served zero-copy from the flat snapshot mapping",
-            current.engine.mapped_bytes(),
-        );
-        out
+        View {
+            metrics: &self.metrics,
+            cache: self.cache.counters(),
+            config: &self.config,
+            cache_live: cache_live as u64,
+            cache_stale: cache_stale as u64,
+            generation: current.generation,
+            graph_nodes: current.engine.node_count() as u64,
+            topics: current.engine.topic_count() as u64,
+            index_bytes: current.engine.index_bytes() as u64,
+            shards: u64::from(current.engine.shard_count()),
+            snapshot_format: current.engine.snapshot_format(),
+            mapped_bytes: current.engine.mapped_bytes(),
+        }
+    }
+
+    /// The `STATS` reply: every registry row that declares a key.
+    pub fn stats(&self) -> Vec<(String, String)> {
+        metrics::render_stats(&self.view())
+    }
+
+    /// The `METRICS` reply: every registry row that declares a series, as
+    /// Prometheus text exposition.
+    pub fn metrics_text(&self) -> String {
+        metrics::render_prometheus(&self.view())
     }
 }

@@ -22,10 +22,45 @@
 
 use crate::cache::QueryKey;
 use crate::metrics::Metrics;
+use crate::pool::{JobError, JobReply};
+use crate::protocol::wire_enum;
 use pit_obs::trace::{SpanRecorder, Stage, Trace, TraceId};
 use pit_obs::{Sampler, TraceRing};
-use pit_search_core::{SearchPhase, SearchStats, SearchTracer};
+use pit_search_core::{SearchError, SearchPhase, SearchStats, SearchTracer};
 use std::time::{Duration, Instant};
+
+wire_enum! {
+    /// How a query ended, as a rendered trace's `outcome=` word.
+    pub enum TraceOutcome {
+        /// Answered in full (fresh or cached).
+        Ok => "ok",
+        /// Answered, minus one or more shards.
+        Partial => "partial",
+        /// The budget expired: in the queue, mid-search, or while waiting.
+        Timeout => "timeout",
+        /// Refused or failed without a panic.
+        Error => "error",
+        /// The execution panicked.
+        Panic => "panic",
+    }
+}
+
+impl From<&JobReply> for TraceOutcome {
+    fn from(reply: &JobReply) -> Self {
+        match reply {
+            Ok((_, _, partial)) if partial.is_empty() => TraceOutcome::Ok,
+            Ok(_) => TraceOutcome::Partial,
+            Err(JobError::Search(SearchError::Cancelled { .. })) => TraceOutcome::Timeout,
+            Err(JobError::Panicked) => TraceOutcome::Panic,
+            Err(
+                JobError::Search(SearchError::UserOutOfRange { .. })
+                | JobError::Shard(_)
+                | JobError::Shed
+                | JobError::Closed,
+            ) => TraceOutcome::Error,
+        }
+    }
+}
 
 /// The per-server trace state: sampler, rings, and the slow threshold.
 pub struct TraceCollector {
@@ -138,7 +173,7 @@ impl TraceCollector {
         &self,
         ctx: TraceCtx,
         key: &QueryKey,
-        outcome: &'static str,
+        outcome: TraceOutcome,
         cached: bool,
         stats: Option<SearchStats>,
         total: Duration,
@@ -150,7 +185,7 @@ impl TraceCollector {
         }
         let slow = total >= self.slow_threshold;
         if slow {
-            Metrics::bump(&metrics.slow_queries);
+            metrics.slow_queries.inc();
         }
         let sampled = ctx.is_sampled();
         if !sampled && !slow {
@@ -163,7 +198,7 @@ impl TraceCollector {
             None => Vec::new(),
         };
         if sampled {
-            Metrics::bump(&metrics.traces_sampled);
+            metrics.traces_sampled.inc();
             for span in &spans {
                 match span.stage {
                     Stage::CacheProbe => metrics.cache_probe.observe_value(span.dur_us),
@@ -179,7 +214,7 @@ impl TraceCollector {
             user: key.user,
             k: key.k,
             terms: key.terms.iter().map(|t| t.0).collect(),
-            outcome,
+            outcome: outcome.as_str(),
             cached,
             slow,
             sampled,
@@ -247,13 +282,13 @@ mod tests {
     #[test]
     fn unsampled_fast_query_captures_nothing() {
         let c = TraceCollector::new(0, Duration::from_secs(1), 8);
-        let m = Metrics::new();
+        let m = Metrics::default();
         let ctx = c.begin(1, Instant::now());
         assert!(!ctx.is_sampled());
         c.finish(
             ctx,
             &key(),
-            "ok",
+            TraceOutcome::Ok,
             false,
             Some(stats()),
             Duration::from_micros(50),
@@ -269,7 +304,7 @@ mod tests {
     #[test]
     fn sampled_query_lands_in_the_ring_with_spans() {
         let c = TraceCollector::new(1, Duration::from_secs(1), 8);
-        let m = Metrics::new();
+        let m = Metrics::default();
         let mut ctx = c.begin(3, Instant::now());
         assert!(ctx.is_sampled());
         ctx.begin(Stage::CacheProbe);
@@ -279,16 +314,13 @@ mod tests {
         c.finish(
             ctx,
             &key(),
-            "ok",
+            TraceOutcome::Ok,
             false,
             Some(stats()),
             Duration::from_micros(50),
             &m,
         );
-        assert_eq!(
-            m.traces_sampled.load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(m.traces_sampled.get(), 1);
         assert_eq!(m.cache_probe.count(), 1);
         assert_eq!(m.gather.count(), 1);
         let dump = c.dump(8);
@@ -301,18 +333,18 @@ mod tests {
     #[test]
     fn slow_query_is_captured_even_when_unsampled() {
         let c = TraceCollector::new(0, Duration::from_millis(1), 8);
-        let m = Metrics::new();
+        let m = Metrics::default();
         let ctx = c.begin(1, Instant::now());
         c.finish(
             ctx,
             &key(),
-            "timeout",
+            TraceOutcome::Timeout,
             false,
             Some(stats()),
             Duration::from_millis(100),
             &m,
         );
-        assert_eq!(m.slow_queries.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(m.slow_queries.get(), 1);
         let dump = c.dump(8);
         assert!(dump.contains("[slow] showing 1 of 1"), "{dump}");
         assert!(dump.contains("outcome=timeout"), "{dump}");
@@ -323,9 +355,17 @@ mod tests {
     #[test]
     fn slow_and_sampled_appears_in_both_sections() {
         let c = TraceCollector::new(1, Duration::ZERO, 8);
-        let m = Metrics::new();
+        let m = Metrics::default();
         let ctx = c.begin(1, Instant::now());
-        c.finish(ctx, &key(), "ok", false, None, Duration::from_micros(5), &m);
+        c.finish(
+            ctx,
+            &key(),
+            TraceOutcome::Ok,
+            false,
+            None,
+            Duration::from_micros(5),
+            &m,
+        );
         let dump = c.dump(8);
         assert!(dump.contains("[slow] showing 1 of 1"), "{dump}");
         assert!(dump.contains("[sampled] showing 1 of 1"), "{dump}");

@@ -176,7 +176,7 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(survived, cache.survivors() as u32);
+        prop_assert_eq!(survived, cache.counters().survivors.get() as u32);
         prop_assert_eq!(survived + invalidated, base_entries().len() as u32);
     }
 }

@@ -1,11 +1,18 @@
 //! Concurrency stress for the serving metrics: N threads hammering one
 //! [`LatencyHistogram`] and the `STATS` counters must lose no sample — the
 //! per-bucket totals equal the per-thread sums exactly, because every
-//! observation is a single atomic `fetch_add` on its bucket.
+//! observation is a single atomic `fetch_add` on its bucket — and a scrape
+//! racing cache inserts must still report one consistent cache census.
 
-use pit_server::{LatencyHistogram, Metrics};
+use pit::{Delta, PitEngine, SummarizerKind};
+use pit_graph::NodeId;
+use pit_index::PropIndexConfig;
+use pit_search_core::{CancelToken, NoTracer, SearchScratch};
+use pit_server::{LatencyHistogram, ServerConfig, ServerState};
+use pit_summarize::LrwConfig;
+use pit_walk::WalkConfig;
 use proptest::prelude::*;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,22 +89,49 @@ fn histogram_survives_single_bucket_contention() {
     assert_eq!(h.bucket_counts()[7], THREADS as u64 * PER_THREAD);
 }
 
+/// A server state over a 250-user engine, for the tests that need the
+/// rendered replies rather than a bare histogram.
+fn tiny_state() -> Arc<ServerState> {
+    let spec = pit_datasets::DatasetSpec {
+        name: "metrics-stress".to_string(),
+        nodes: 250,
+        kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 4 },
+        topics: pit_datasets::spec::scaled_topic_config(250, 17),
+        seed: 17,
+    };
+    let ds = pit_datasets::generate(&spec);
+    let engine = PitEngine::builder()
+        .walk(WalkConfig::new(3, 8).with_seed(2))
+        .propagation(PropIndexConfig::with_theta(0.02))
+        .summarizer(SummarizerKind::Lrw(LrwConfig {
+            rep_count: Some(8),
+            ..LrwConfig::default()
+        }))
+        .build_with_vocab(ds.graph, ds.space, Some(ds.vocab));
+    let config = ServerConfig {
+        cache_capacity: 4096,
+        ..ServerConfig::default()
+    };
+    Arc::new(ServerState::new(Arc::new(engine), config))
+}
+
 /// The `STATS` counters under the same hammering: per-thread bump counts
-/// must sum exactly, and the rendered snapshot must agree with the atomics.
+/// must sum exactly, and the rendered reply must agree with the atomics.
 #[test]
 fn counters_sum_exactly_across_threads() {
-    let m = Arc::new(Metrics::new());
+    let state = tiny_state();
     let mut handles = Vec::new();
     for t in 0..THREADS {
-        let m = Arc::clone(&m);
+        let state = Arc::clone(&state);
         handles.push(std::thread::spawn(move || {
+            let m = state.metrics();
             for i in 0..PER_THREAD {
-                Metrics::bump(&m.queries);
+                m.queries.inc();
                 if i % 3 == 0 {
-                    Metrics::bump(&m.shed);
+                    m.shed.inc();
                 }
                 if t == 0 && i % 7 == 0 {
-                    Metrics::bump(&m.timeouts);
+                    m.timeouts.inc();
                 }
             }
         }));
@@ -109,13 +143,14 @@ fn counters_sum_exactly_across_threads() {
     let expected_queries = THREADS as u64 * PER_THREAD;
     let expected_shed = THREADS as u64 * PER_THREAD.div_ceil(3);
     let expected_timeouts = PER_THREAD.div_ceil(7);
-    assert_eq!(m.queries.load(Ordering::Relaxed), expected_queries);
-    assert_eq!(m.shed.load(Ordering::Relaxed), expected_shed);
-    assert_eq!(m.timeouts.load(Ordering::Relaxed), expected_timeouts);
+    let m = state.metrics();
+    assert_eq!(m.queries.get(), expected_queries);
+    assert_eq!(m.shed.get(), expected_shed);
+    assert_eq!(m.timeouts.get(), expected_timeouts);
 
-    let snapshot = m.snapshot();
+    let stats = state.stats();
     let get = |name: &str| -> String {
-        snapshot
+        stats
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.clone())
@@ -124,6 +159,70 @@ fn counters_sum_exactly_across_threads() {
     assert_eq!(get("queries"), expected_queries.to_string());
     assert_eq!(get("shed"), expected_shed.to_string());
     assert_eq!(get("timeouts"), expected_timeouts.to_string());
+}
+
+/// One scrape reads the cache once: however many inserts and swaps race
+/// it, the entry count it reports is the sum of the live and stale counts
+/// it reports.
+#[test]
+fn a_scrape_racing_inserts_reports_one_cache_census() {
+    let state = tiny_state();
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut handles = Vec::new();
+    for t in 0..4u32 {
+        let (state, stop) = (Arc::clone(&state), Arc::clone(&stop));
+        handles.push(std::thread::spawn(move || {
+            let mut scratch = SearchScratch::new();
+            // Distinct (user, k) per iteration: every execution inserts.
+            for i in (t..).step_by(4) {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let current = state.current();
+                let key = state
+                    .make_key(
+                        &*current.engine,
+                        i % 250,
+                        1 + (i / 250 % 8) as usize,
+                        &["query-0".to_string()],
+                    )
+                    .expect("valid query");
+                let cancel = CancelToken::none();
+                let _ = state.try_execute(&current, &key, &cancel, &mut NoTracer, &mut scratch);
+            }
+        }));
+    }
+    let mut saw_stale = false;
+    for round in 0..300u32 {
+        if round % 100 == 50 {
+            // A scoped swap kills the entries it touches: stale > 0.
+            let delta = Delta {
+                new_edges: vec![(NodeId(round % 7), NodeId(100 + round % 11), 0.5)],
+                new_assignments: Vec::new(),
+            };
+            state.apply_update(&delta).expect("valid delta");
+        }
+        let body = state.metrics_text();
+        let get = |name: &str| -> u64 {
+            let line = body
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+            line.unwrap_or_else(|| panic!("no sample {name}"))
+                .parse()
+                .expect("integer gauge")
+        };
+        let (live, stale) = (
+            get("pit_cache_entries_live"),
+            get("pit_cache_entries_stale"),
+        );
+        assert_eq!(get("pit_cache_entries"), live + stale, "round {round}");
+        saw_stale |= stale > 0;
+    }
+    stop.store(true, Ordering::Release);
+    for handle in handles {
+        handle.join().expect("inserter thread");
+    }
+    assert!(saw_stale, "the swaps never left a stale entry to count");
 }
 
 proptest! {
