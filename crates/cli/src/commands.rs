@@ -2,11 +2,12 @@
 
 use crate::args::Parsed;
 use pit::store;
-use pit::{PitEngine, SummarizerKind};
+use pit::{Delta, PitEngine, SummarizerKind};
 use pit_datasets::paper_specs;
 use pit_graph::stats::GraphStats;
-use pit_graph::NodeId;
+use pit_graph::{NodeId, TopicId};
 use pit_index::PropIndexConfig;
+use pit_server::protocol::{Admin, Request, Successor};
 use pit_summarize::{LrwConfig, RclConfig};
 use pit_walk::WalkConfig;
 use std::fs;
@@ -491,27 +492,31 @@ pub fn trace(p: &Parsed) -> Result<(), String> {
 pub fn reload(p: &Parsed) -> Result<(), String> {
     let addr = p.require("addr")?;
     let dir = p.require("dir")?;
-    let request = pit_server::protocol::Request::Reload {
-        dir: dir.to_string(),
-    };
-    print_response(&exchange(addr, &request)?)
+    install(addr, Successor::Snapshot(dir.into()))
 }
 
 /// `pit update` — push an edge/assignment delta into a running daemon.
 /// Edges are `u:v:p` triples and assignments `u:t` pairs, comma-separated.
 pub fn update(p: &Parsed) -> Result<(), String> {
     let addr = p.require("addr")?;
-    let edges = parse_edges(p.get("edges").unwrap_or(""))?;
-    let assignments = parse_assignments(p.get("assign").unwrap_or(""))?;
-    if edges.is_empty() && assignments.is_empty() {
+    let delta = Delta {
+        new_edges: parse_edges(p.get("edges").unwrap_or(""))?,
+        new_assignments: parse_assignments(p.get("assign").unwrap_or(""))?,
+    };
+    if delta.is_empty() {
         return Err("empty delta: pass --edges u:v:p,… and/or --assign u:t,…".into());
     }
-    let request = pit_server::protocol::Request::Update { edges, assignments };
+    install(addr, Successor::Delta(delta))
+}
+
+/// Ask the daemon at `addr` to build `next` and serve it at once.
+fn install(addr: &str, next: Successor) -> Result<(), String> {
+    let request = Request::Admin(Admin::Install { next, commit: true });
     print_response(&exchange(addr, &request)?)
 }
 
 /// Parse `u:v:p,u:v:p,…` into new-edge triples.
-fn parse_edges(spec: &str) -> Result<Vec<(u32, u32, f64)>, String> {
+fn parse_edges(spec: &str) -> Result<Vec<(NodeId, NodeId, f64)>, String> {
     spec.split(',')
         .filter(|item| !item.is_empty())
         .map(|item| {
@@ -523,13 +528,13 @@ fn parse_edges(spec: &str) -> Result<Vec<(u32, u32, f64)>, String> {
             if parts.next().is_some() || !prob.is_finite() {
                 return Err(bad());
             }
-            Ok((u, v, prob))
+            Ok((NodeId(u), NodeId(v), prob))
         })
         .collect()
 }
 
 /// Parse `u:t,u:t,…` into new-assignment pairs.
-fn parse_assignments(spec: &str) -> Result<Vec<(u32, u32)>, String> {
+fn parse_assignments(spec: &str) -> Result<Vec<(NodeId, TopicId)>, String> {
     spec.split(',')
         .filter(|item| !item.is_empty())
         .map(|item| {
@@ -540,7 +545,7 @@ fn parse_assignments(spec: &str) -> Result<Vec<(u32, u32)>, String> {
             if parts.next().is_some() {
                 return Err(bad());
             }
-            Ok((u, t))
+            Ok((NodeId(u), TopicId(t)))
         })
         .collect()
 }

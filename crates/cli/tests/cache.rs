@@ -11,7 +11,7 @@
 
 use pit::{store, PitEngine, SummarizerKind};
 use pit_graph::NodeId;
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
+use pit_server::protocol::{read_frame, write_frame, Admin, Request, Response, Successor};
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -176,10 +176,13 @@ fn update_spares_disjoint_entries_and_reload_warmup_repopulates_the_hottest() {
 
     // UPDATE: a new edge strictly inside island B. The island-A entry must
     // keep hitting across the swap; the island-B entry must not.
-    let update = Request::Update {
-        edges: vec![(6, 9, 0.9)],
-        assignments: vec![],
-    };
+    let update = Request::Admin(Admin::Install {
+        next: Successor::Delta(pit::Delta {
+            new_edges: vec![(NodeId(6), NodeId(9), 0.9)],
+            new_assignments: vec![],
+        }),
+        commit: true,
+    });
     assert_eq!(ask(&mut c, &update), Response::Generation(2));
 
     let (ranked, cached) = topics(&mut c, &disjoint);
@@ -199,9 +202,10 @@ fn update_spares_disjoint_entries_and_reload_warmup_repopulates_the_hottest() {
     // RELOAD onto snapshot B: blanket flush, then the bounded warmup job
     // replays the hottest keys before the GEN reply is sent — so the very
     // first post-reload island-A query is a hit, with the *new* ranking.
-    let reload = Request::Reload {
-        dir: dir_b.display().to_string(),
-    };
+    let reload = Request::Admin(Admin::Install {
+        next: Successor::Snapshot(dir_b.clone()),
+        commit: true,
+    });
     assert_eq!(ask(&mut c, &reload), Response::Generation(3));
 
     let (ranked, cached) = topics(&mut c, &disjoint);
@@ -249,9 +253,10 @@ fn warmup_disabled_by_default_keeps_post_reload_queries_cold() {
     assert!(cached);
 
     // Reload in place: without --warmup-budget-ms the cache stays cold.
-    let reload = Request::Reload {
-        dir: dir.display().to_string(),
-    };
+    let reload = Request::Admin(Admin::Install {
+        next: Successor::Snapshot(dir.clone()),
+        commit: true,
+    });
     assert_eq!(ask(&mut c, &reload), Response::Generation(2));
     let (_, cached) = topics(&mut c, &probe);
     assert!(!cached, "no warmup was configured");

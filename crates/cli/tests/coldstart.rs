@@ -11,7 +11,7 @@
 //! CI runs this as the `coldstart-integration` job.
 
 use pit::{store, PitEngine};
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
+use pit_server::protocol::{read_frame, write_frame, Admin, Request, Response, Successor};
 use pit_topics::SyntheticTopicConfig;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -174,9 +174,10 @@ fn flat_coldstart_drill() {
         let dir = if i % 2 == 0 { &dir_b } else { &dir_a };
         let reply = ask(
             &mut c,
-            &Request::Reload {
-                dir: dir.display().to_string(),
-            },
+            &Request::Admin(Admin::Install {
+                next: Successor::Snapshot(dir.clone()),
+                commit: true,
+            }),
         );
         assert_eq!(reply, Response::Generation(i + 2), "reload {i} failed");
     }

@@ -6,7 +6,7 @@
 //! reloads must leave the prior generation serving.
 
 use pit::{store, PitEngine, SummarizerKind};
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
+use pit_server::protocol::{read_frame, write_frame, Admin, Request, Response, Successor};
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -198,9 +198,10 @@ fn reload_under_concurrent_load_flips_exactly_at_the_swap() {
     let mut admin = connect(&addr);
     std::thread::sleep(Duration::from_millis(300));
     let issued = Instant::now();
-    let reload = Request::Reload {
-        dir: dir_b.display().to_string(),
-    };
+    let reload = Request::Admin(Admin::Install {
+        next: Successor::Snapshot(dir_b.clone()),
+        commit: true,
+    });
     assert_eq!(ask(&mut admin, &reload), Response::Generation(2));
     let swapped = Instant::now();
     assert!(
@@ -291,9 +292,10 @@ fn failed_reload_leaves_the_prior_generation_serving() {
     let mut c = connect(&addr);
 
     // A missing snapshot directory.
-    let missing = Request::Reload {
-        dir: "/no/such/snapshot-dir".to_string(),
-    };
+    let missing = Request::Admin(Admin::Install {
+        next: Successor::Snapshot("/no/such/snapshot-dir".into()),
+        commit: true,
+    });
     let Response::Err(reason) = ask(&mut c, &missing) else {
         panic!("reload of a missing snapshot must fail");
     };
@@ -305,9 +307,10 @@ fn failed_reload_leaves_the_prior_generation_serving() {
     // A torn snapshot: directory exists, artifacts are garbage.
     let torn = scratch_dir("fail-torn");
     std::fs::write(torn.join("graph.pitg"), b"not a snapshot").unwrap();
-    let corrupt = Request::Reload {
-        dir: torn.display().to_string(),
-    };
+    let corrupt = Request::Admin(Admin::Install {
+        next: Successor::Snapshot(torn.clone()),
+        commit: true,
+    });
     let Response::Err(reason) = ask(&mut c, &corrupt) else {
         panic!("reload of a torn snapshot must fail");
     };
@@ -329,9 +332,10 @@ fn failed_reload_leaves_the_prior_generation_serving() {
     assert_eq!(get_stat(&pairs, "reload_failures"), 2);
 
     // The daemon is not wedged: a good snapshot still swaps in.
-    let good = Request::Reload {
-        dir: dir_b.display().to_string(),
-    };
+    let good = Request::Admin(Admin::Install {
+        next: Successor::Snapshot(dir_b.clone()),
+        commit: true,
+    });
     assert_eq!(ask(&mut c, &good), Response::Generation(2));
 
     assert_eq!(ask(&mut c, &Request::Shutdown), Response::Bye);

@@ -10,12 +10,12 @@ use pit::{store, PitEngine, SummarizerKind};
 use pit_graph::NodeId;
 use pit_router::{LocalTransport, ShardError, ShardTransport, ShardedEngine};
 use pit_search_core::{CancelToken, NoTracer, SearchScratch};
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
+use pit_server::protocol::{read_frame, write_frame, Admin, ErrKind, Request, Response};
 use pit_server::{LocalServeEngine, ServeEngine};
 use pit_topics::KeywordQuery;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -127,17 +127,8 @@ impl ShardTransport for Recording {
             .extend(probes.iter().map(|&(u, _)| u));
         self.inner.expand(gen, terms, probes, deadline)
     }
-    fn prepare_dir(&self, dir: &Path) -> Result<(), ShardError> {
-        self.inner.prepare_dir(dir)
-    }
-    fn prepare_update(&self, delta: &pit::Delta) -> Result<(), ShardError> {
-        self.inner.prepare_update(delta)
-    }
-    fn commit(&self) -> Result<u64, ShardError> {
-        self.inner.commit()
-    }
-    fn abort(&self) -> Result<u64, ShardError> {
-        self.inner.abort()
+    fn admin(&self, admin: &Admin) -> Result<Option<u64>, ShardError> {
+        self.inner.admin(admin)
     }
 }
 
@@ -163,17 +154,8 @@ impl ShardTransport for Failing {
     ) -> Result<(Vec<pit_server::protocol::ProbeTable>, f64), ShardError> {
         Err(ShardError::Timeout)
     }
-    fn prepare_dir(&self, dir: &Path) -> Result<(), ShardError> {
-        self.inner.prepare_dir(dir)
-    }
-    fn prepare_update(&self, delta: &pit::Delta) -> Result<(), ShardError> {
-        self.inner.prepare_update(delta)
-    }
-    fn commit(&self) -> Result<u64, ShardError> {
-        self.inner.commit()
-    }
-    fn abort(&self) -> Result<u64, ShardError> {
-        self.inner.abort()
+    fn admin(&self, admin: &Admin) -> Result<Option<u64>, ShardError> {
+        self.inner.admin(admin)
     }
 }
 
@@ -435,6 +417,50 @@ fn killed_backend_degrades_to_an_honest_partial_on_the_wire() {
     shutdown(&mut router, &router_addr);
     let home = (1 - fx.dead) as usize;
     shutdown(&mut backends[home].0, &addrs[home]);
+}
+
+#[test]
+fn in_process_fleet_refuses_an_unknown_topic_and_keeps_taking_updates() {
+    // `pit route --in-process 2` on the unsplit snapshot. A delta naming a
+    // topic the space does not have must be refused with a typed error that
+    // leaves the updater thread alive: a panic there would make every later
+    // admin verb answer `shutting-down` until the router is restarted.
+    let fx = fixture();
+    let full = fx.shards_dir.with_file_name("full");
+    let full = full.to_str().expect("utf-8 scratch path");
+    let (mut router, addr) = spawn_daemon(&[
+        "route",
+        "--engine",
+        full,
+        "--in-process",
+        "2",
+        "--cache",
+        "0",
+    ]);
+    let mut c = connect(&addr);
+
+    write_frame(&mut c, "UPDATE\nASSIGN 0 9999").expect("send");
+    let text = read_frame(&mut c).expect("recv").expect("reply");
+    let Ok(Response::Err(reason)) = Response::parse(&text) else {
+        panic!("an unknown topic must be refused, got {text:?}");
+    };
+    assert_eq!(reason.kind, ErrKind::ReloadFailed, "got: {reason}");
+    assert!(
+        reason.detail.contains("unknown topic 9999"),
+        "got: {reason}"
+    );
+
+    // The updater thread survived: a valid delta still moves the fleet on,
+    // and the moved fleet still answers.
+    write_frame(&mut c, "UPDATE\nASSIGN 0 0").expect("send");
+    let text = read_frame(&mut c).expect("recv").expect("reply");
+    assert_eq!(text, "GEN 2", "a valid UPDATE after the refusal");
+    assert!(matches!(
+        ask(&mut c, &wire_query(fx.user)),
+        Response::Topics { .. }
+    ));
+
+    shutdown(&mut router, &addr);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! burst — then shut it down cleanly.
 
 use pit::{store, PitEngine, SummarizerKind};
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
+use pit_server::protocol::{read_frame, write_frame, Admin, Request, Response, Successor};
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -405,9 +405,10 @@ fn reload_herd_drill_coalesces_to_one_execution_per_generation() {
     assert_eq!(get_stat(&pairs, "queries"), 8);
 
     // Swap generations — this is the moment the cache goes cold at once.
-    let reload = Request::Reload {
-        dir: dir2.display().to_string(),
-    };
+    let reload = Request::Admin(Admin::Install {
+        next: Successor::Snapshot(dir2.clone()),
+        commit: true,
+    });
     assert_eq!(ask(&mut c, &reload), Response::Generation(2));
 
     // Post-reload herd: recomputed once on the new engine, shared by all.

@@ -1,6 +1,6 @@
 //! Error type for graph construction and validation.
 
-use crate::ids::NodeId;
+use crate::ids::{NodeId, TopicId};
 use std::fmt;
 
 /// Convenience alias used across the graph crate.
@@ -20,6 +20,8 @@ pub enum GraphError {
     DuplicateEdge { from: NodeId, to: NodeId },
     /// The graph is empty (zero nodes) where at least one node is required.
     EmptyGraph,
+    /// A delta assigns a user to a topic the topic space does not have.
+    UnknownTopic { topic: TopicId },
     /// A snapshot byte stream failed validation while deserializing.
     CorruptSnapshot(String),
 }
@@ -40,6 +42,9 @@ impl fmt::Display for GraphError {
                 write!(f, "duplicate edge {from}->{to} with conflicting weight")
             }
             GraphError::EmptyGraph => write!(f, "graph must contain at least one node"),
+            GraphError::UnknownTopic { topic } => {
+                write!(f, "delta references unknown topic {topic}")
+            }
             GraphError::CorruptSnapshot(msg) => write!(f, "corrupt graph snapshot: {msg}"),
         }
     }

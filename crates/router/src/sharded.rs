@@ -23,15 +23,14 @@
 
 use crate::transport::{LocalTransport, ShardError, ShardTransport};
 use pit::shard::slice_engine;
-use pit::{shard_of, Delta, PitEngine, ShardSpec, UpdateReport};
+use pit::{shard_of, DeltaScope, PitEngine, ShardSpec};
 use pit_graph::NodeId;
 use pit_search_core::{
     CancelToken, DriverStep, SearchConfig, SearchDriver, SearchScratch, SearchTracer, TableProbe,
 };
-use pit_server::protocol::{ErrKind, ProbeTable, WireError, ROUTER_EXPAND_CHUNK};
+use pit_server::protocol::{Admin, ErrKind, ProbeTable, Successor, WireError, ROUTER_EXPAND_CHUNK};
 use pit_server::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
 use pit_topics::KeywordQuery;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -114,14 +113,6 @@ impl ShardedEngine {
     /// The replicated metadata engine.
     pub fn meta(&self) -> &Arc<PitEngine> {
         &self.meta
-    }
-
-    /// Abort staged successors on every shard, best-effort (the abort verb
-    /// is idempotent, so shards that never staged answer cleanly).
-    fn abort_fleet(&self) {
-        for t in &self.shards {
-            let _ = t.abort();
-        }
     }
 }
 
@@ -358,99 +349,87 @@ impl ServeEngine for ShardedEngine {
             .because("EXPAND targets a shard backend; the router owns no Γ tables"))
     }
 
-    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, WireError> {
-        // The split root holds one snapshot per shard: <dir>/shard-<i>.
-        // Meta loads first (cheap local validation), then the fleet stages
-        // all-or-nothing, then commits.
-        let meta_dir = dir.join("shard-0");
-        let meta = pit::store::load_engine(&meta_dir).map_err(|e| {
-            ErrKind::ReloadFailed.because(format!("router meta from {}: {e}", meta_dir.display()))
-        })?;
+    fn successor(
+        &self,
+        next: &Successor,
+    ) -> Result<(Arc<dyn ServeEngine>, Option<DeltaScope>), WireError> {
+        // The router's own next metadata first: cheap, local, and it refuses
+        // a bad snapshot or delta before any shard is touched. A split root
+        // holds one snapshot per shard, `<dir>/shard-<i>`, any of which
+        // carries the replicated metadata. A delta is applied in full — the
+        // meta graph and walks are complete, so its summaries are exactly
+        // what each shard computes before slicing.
+        let (meta, scope, reissue) = match next {
+            Successor::Snapshot(dir) => {
+                let meta_dir = dir.join("shard-0");
+                let meta = pit::store::load_engine(&meta_dir).map_err(|e| {
+                    let from = meta_dir.display();
+                    ErrKind::ReloadFailed.because(format!("router meta from {from}: {e}"))
+                })?;
+                (meta, None, format!("RELOAD {}", dir.display()))
+            }
+            Successor::Delta(delta) => {
+                let (meta, report) = self
+                    .meta
+                    .with_delta(delta)
+                    .map_err(|e| ErrKind::ReloadFailed.because(e.to_string()))?;
+                (meta, Some(report.scope), "the UPDATE".to_string())
+            }
+        };
+        // Phase one: every shard stages its share, or the whole fleet
+        // aborts (idempotent, so shards that never staged answer cleanly).
         for (i, t) in self.shards.iter().enumerate() {
-            let shard_dir = dir.join(format!("shard-{i}"));
-            if let Err(e) = t.prepare_dir(&shard_dir) {
-                self.abort_fleet();
+            let (share, what) = match next {
+                Successor::Snapshot(dir) => {
+                    let dir = dir.join(format!("shard-{i}"));
+                    let what = dir.display().to_string();
+                    (Successor::Snapshot(dir), what)
+                }
+                Successor::Delta(_) => (next.clone(), "the delta".to_string()),
+            };
+            let stage = Admin::Install {
+                next: share,
+                commit: false,
+            };
+            if let Err(e) = t.admin(&stage) {
+                for t in &self.shards {
+                    let _ = t.admin(&Admin::Abort);
+                }
                 let reason = e.describe();
                 return Err(ErrKind::ReloadFailed.because(format!(
-                    "shard {i} ({}) rejected {}: {} — fleet aborted, old \
+                    "shard {i} ({}) rejected {what}: {} — fleet aborted, old \
                      generation still serving",
                     t.location(),
-                    shard_dir.display(),
                     strip_class(&reason)
                 )));
             }
         }
+        // Phase two: commit everywhere. A failure here may leave some shards
+        // on the new generation; the old router's generation vector no
+        // longer matches them, so their probes fail honestly, and re-issuing
+        // the verb is the recovery.
         let mut gens = Vec::with_capacity(self.shards.len());
         for (i, t) in self.shards.iter().enumerate() {
-            match t.commit() {
-                Ok(gen) => gens.push(gen),
-                Err(e) => {
-                    // Some shards may already serve the new generation; the
-                    // generation vector in the old router no longer matches
-                    // them, so their probes fail honestly. Re-issuing the
-                    // RELOAD is the recovery.
-                    return Err(ErrKind::ReloadFailed.because(format!(
-                        "shard {i} ({}) failed to commit: {} — fleet may be \
-                         mixed-generation; re-issue RELOAD {}",
-                        t.location(),
-                        e.describe(),
-                        dir.display()
-                    )));
-                }
-            }
-        }
-        Ok(Arc::new(ShardedEngine {
-            meta: Arc::new(meta),
-            shards: self.shards.clone(),
-            gens,
-        }))
-    }
-
-    fn successor_from_delta(
-        &self,
-        delta: &Delta,
-    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), WireError> {
-        // The meta engine applies the full delta (its graph and walks are
-        // complete, so summarization is seed-deterministic and identical to
-        // what each shard computes before slicing); this also validates the
-        // delta before any shard is touched.
-        let (meta, report) = self
-            .meta
-            .with_delta(delta)
-            .map_err(|e| ErrKind::ReloadFailed.because(e.to_string()))?;
-        for (i, t) in self.shards.iter().enumerate() {
-            if let Err(e) = t.prepare_update(delta) {
-                self.abort_fleet();
-                let reason = e.describe();
-                return Err(ErrKind::ReloadFailed.because(format!(
-                    "shard {i} ({}) rejected the delta: {} — fleet aborted, \
-                     old generation still serving",
-                    t.location(),
-                    strip_class(&reason)
-                )));
-            }
-        }
-        let mut gens = Vec::with_capacity(self.shards.len());
-        for (i, t) in self.shards.iter().enumerate() {
-            match t.commit() {
+            let committed = t.admin(&Admin::Commit).and_then(|gen| {
+                gen.ok_or_else(|| ShardError::Internal("COMMIT answered STAGED".to_string()))
+            });
+            match committed {
                 Ok(gen) => gens.push(gen),
                 Err(e) => {
                     return Err(ErrKind::ReloadFailed.because(format!(
                         "shard {i} ({}) failed to commit: {} — fleet may be \
-                         mixed-generation; re-issue the UPDATE",
+                         mixed-generation; re-issue {reissue}",
                         t.location(),
                         e.describe()
                     )));
                 }
             }
         }
-        Ok((
-            Arc::new(ShardedEngine {
-                meta: Arc::new(meta),
-                shards: self.shards.clone(),
-                gens,
-            }),
-            report,
-        ))
+        let next = ShardedEngine {
+            meta: Arc::new(meta),
+            shards: self.shards.clone(),
+            gens,
+        };
+        Ok((Arc::new(next), scope))
     }
 }

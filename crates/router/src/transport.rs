@@ -8,13 +8,11 @@
 //! transport never invents a fourth word.
 
 use parking_lot::Mutex;
-use pit::Delta;
 use pit_server::protocol::{
-    read_frame, write_frame, ErrKind, ProbeTable, Request, Response, WireError,
+    read_frame, write_frame, Admin, ErrKind, ProbeTable, Request, Response, WireError,
 };
 use pit_server::{ServeEngine, ServerConfig, ServerState};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -90,31 +88,15 @@ pub trait ShardTransport: Send + Sync {
         deadline: Option<Instant>,
     ) -> Result<(Vec<ProbeTable>, f64), ShardError>;
 
-    /// `PREPARE DIR` — stage a successor engine from a snapshot directory.
+    /// Run one engine change on the shard — the backend's
+    /// [`ServerState::admin`], in-process or over the wire. `Ok(None)` is a
+    /// staged successor, `Ok(Some(gen))` the generation now serving.
+    /// [`Admin::Abort`] is idempotent by design, so a fleet-wide abort sweep
+    /// can hit shards that never staged.
     ///
     /// # Errors
-    /// Build failure (reported verbatim) or transport failure.
-    fn prepare_dir(&self, dir: &Path) -> Result<(), ShardError>;
-
-    /// `PREPARE UPDATE` — stage a successor engine from a delta.
-    ///
-    /// # Errors
-    /// Build failure (reported verbatim) or transport failure.
-    fn prepare_update(&self, delta: &Delta) -> Result<(), ShardError>;
-
-    /// `COMMIT` — swap the staged successor in; returns the new generation.
-    ///
-    /// # Errors
-    /// Nothing staged, or transport failure.
-    fn commit(&self) -> Result<u64, ShardError>;
-
-    /// `ABORT` — drop any staged successor; returns the serving generation.
-    /// Idempotent by design, so a fleet-wide abort sweep can hit shards
-    /// that never staged.
-    ///
-    /// # Errors
-    /// Transport failure only.
-    fn abort(&self) -> Result<u64, ShardError>;
+    /// The backend's refusal (reported verbatim) or transport failure.
+    fn admin(&self, admin: &Admin) -> Result<Option<u64>, ShardError>;
 }
 
 /// An in-process shard: a slice engine behind a private [`ServerState`], so
@@ -169,20 +151,8 @@ impl ShardTransport for LocalTransport {
             .map_err(classify_err_reply)
     }
 
-    fn prepare_dir(&self, dir: &Path) -> Result<(), ShardError> {
-        self.state.prepare_dir(dir).map_err(classify_err_reply)
-    }
-
-    fn prepare_update(&self, delta: &Delta) -> Result<(), ShardError> {
-        self.state.prepare_update(delta).map_err(classify_err_reply)
-    }
-
-    fn commit(&self) -> Result<u64, ShardError> {
-        self.state.commit_staged().map_err(classify_err_reply)
-    }
-
-    fn abort(&self) -> Result<u64, ShardError> {
-        Ok(self.state.abort_staged())
+    fn admin(&self, admin: &Admin) -> Result<Option<u64>, ShardError> {
+        self.state.admin(admin).map_err(classify_err_reply)
     }
 }
 
@@ -436,56 +406,12 @@ impl ShardTransport for RemoteTransport {
         }
     }
 
-    fn prepare_dir(&self, dir: &Path) -> Result<(), ShardError> {
-        let request = Request::PrepareDir {
-            dir: dir.display().to_string(),
-        };
-        match self.call(&request, None)? {
-            Response::Staged => Ok(()),
+    fn admin(&self, admin: &Admin) -> Result<Option<u64>, ShardError> {
+        match self.call(&Request::Admin(admin.clone()), None)? {
+            Response::Staged => Ok(None),
+            Response::Generation(gen) => Ok(Some(gen)),
             other => Err(ShardError::Internal(format!(
-                "{}: unexpected PREPARE reply {other:?}",
-                self.addr
-            ))),
-        }
-    }
-
-    fn prepare_update(&self, delta: &Delta) -> Result<(), ShardError> {
-        let request = Request::PrepareUpdate {
-            edges: delta
-                .new_edges
-                .iter()
-                .map(|&(u, v, p)| (u.0, v.0, p))
-                .collect(),
-            assignments: delta
-                .new_assignments
-                .iter()
-                .map(|&(u, t)| (u.0, t.0))
-                .collect(),
-        };
-        match self.call(&request, None)? {
-            Response::Staged => Ok(()),
-            other => Err(ShardError::Internal(format!(
-                "{}: unexpected PREPARE reply {other:?}",
-                self.addr
-            ))),
-        }
-    }
-
-    fn commit(&self) -> Result<u64, ShardError> {
-        match self.call(&Request::Commit, None)? {
-            Response::Generation(gen) => Ok(gen),
-            other => Err(ShardError::Internal(format!(
-                "{}: unexpected COMMIT reply {other:?}",
-                self.addr
-            ))),
-        }
-    }
-
-    fn abort(&self) -> Result<u64, ShardError> {
-        match self.call(&Request::Abort, None)? {
-            Response::Generation(gen) => Ok(gen),
-            other => Err(ShardError::Internal(format!(
-                "{}: unexpected ABORT reply {other:?}",
+                "{}: unexpected admin reply {other:?}",
                 self.addr
             ))),
         }

@@ -21,11 +21,11 @@ use pit_graph::{TermId, TopicId};
 use pit_index::{PropIndexConfig, PropagationIndex};
 use pit_router::{LocalTransport, ShardError, ShardTransport, ShardedEngine};
 use pit_search_core::{CancelToken, NoTracer, SearchScratch, TopicRepIndex};
-use pit_server::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
+use pit_server::{Admin, LocalServeEngine, ServeEngine, ServeError, ServeOutcome, Successor};
 use pit_summarize::RepresentativeSet;
 use pit_topics::{KeywordQuery, TopicSpaceBuilder};
 use pit_walk::{WalkConfig, WalkIndex, WalkIndexParts};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -174,20 +174,11 @@ impl ShardTransport for FailingShard {
         Err(self.error.clone())
     }
 
-    fn prepare_dir(&self, _dir: &Path) -> Result<(), ShardError> {
-        Err(self.error.clone())
-    }
-
-    fn prepare_update(&self, _delta: &Delta) -> Result<(), ShardError> {
-        Err(self.error.clone())
-    }
-
-    fn commit(&self) -> Result<u64, ShardError> {
-        Err(self.error.clone())
-    }
-
-    fn abort(&self) -> Result<u64, ShardError> {
-        Ok(1)
+    fn admin(&self, admin: &Admin) -> Result<Option<u64>, ShardError> {
+        match admin {
+            Admin::Abort => Ok(Some(1)),
+            _ => Err(self.error.clone()),
+        }
     }
 }
 
@@ -331,7 +322,9 @@ fn stale_generation_vector_refuses_to_answer() {
         new_edges: Vec::new(),
         new_assignments: vec![(user(2), TopicId(0))],
     };
-    let (fresh, _report) = stale.successor_from_delta(&delta).expect("fleet update");
+    let (fresh, _scope) = stale
+        .successor(&Successor::Delta(delta.clone()))
+        .expect("fleet update");
 
     // The fresh router answers, bit-identical to a single node over the
     // updated engine (the meta engine applies the same delta).
@@ -363,6 +356,29 @@ fn stale_generation_vector_refuses_to_answer() {
     assert!(!before.ranked.is_empty());
 }
 
+#[test]
+fn fleet_update_naming_an_unknown_topic_is_refused_not_a_panic() {
+    // The router applies the delta to its own metadata before any shard is
+    // touched; an unknown topic must come back as the typed refusal a single
+    // node gives, and the fleet must keep answering afterwards.
+    let engine = Arc::new(fig3_engine());
+    let router = ShardedEngine::split(&engine, 2);
+    let bad = Delta {
+        new_edges: Vec::new(),
+        new_assignments: vec![(user(2), TopicId(9999))],
+    };
+    let Err(err) = router.successor(&Successor::Delta(bad)) else {
+        panic!("a delta naming an unknown topic must fail");
+    };
+    assert_eq!(
+        err.to_string(),
+        "reload-failed: delta references unknown topic 9999"
+    );
+    // No shard moved: the generation vector the router holds still answers.
+    let q = KeywordQuery::new(user(8), vec![TermId(0)]);
+    assert_eq!(search(&router, &q, 1).ranked[0].0, 1);
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pit-router-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -381,8 +397,8 @@ fn fleet_reload_from_a_split_snapshot_serves_the_new_generation() {
 
     let old = ShardedEngine::split(&engine, 2);
     let q = KeywordQuery::new(user(8), vec![TermId(0)]);
-    let next = old
-        .successor_from_dir(&root.join("split"))
+    let (next, _scope) = old
+        .successor(&Successor::Snapshot(root.join("split")))
         .expect("fleet reload");
     let single = LocalServeEngine::full(Arc::clone(&engine));
     assert_bit_identical(
@@ -417,7 +433,7 @@ fn fleet_reload_aborts_whole_when_one_shard_rejects() {
 
     let router = ShardedEngine::split(&engine, 2);
     let q = KeywordQuery::new(user(8), vec![TermId(0)]);
-    let Err(err) = router.successor_from_dir(&root.join("split")) else {
+    let Err(err) = router.successor(&Successor::Snapshot(root.join("split"))) else {
         panic!("reload with a missing shard snapshot must fail");
     };
     let err = err.to_string();

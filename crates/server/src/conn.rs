@@ -16,16 +16,13 @@
 use crate::cache::QueryKey;
 use crate::event::EventShared;
 use crate::pool::{Admission, ExpandJob, Job, JobError, JobReply, QueryJob, ReplyTo};
-use crate::protocol::{self, ErrKind, Request, Response, MAX_FRAME_BYTES};
+use crate::protocol::{self, Admin, ErrKind, Request, Response, MAX_FRAME_BYTES};
+use crate::state::AdminReply;
 use crate::trace::{TraceCtx, TraceOutcome};
-use crate::{AdminJob, AdminReply};
 use crossbeam::channel::{self, Receiver, TryRecvError};
-use pit::Delta;
-use pit_graph::{NodeId, TopicId};
 use pit_search_core::SearchError;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -397,26 +394,7 @@ impl Conn {
                 self.queue(&Response::Bye);
                 self.mode = Mode::Closing;
             }
-            Ok(Request::Reload { dir }) => self.submit_admin(shared, |reply| AdminJob::Reload {
-                dir: PathBuf::from(dir),
-                reply,
-            }),
-            Ok(Request::Update { edges, assignments }) => {
-                let delta = build_delta(&edges, &assignments);
-                self.submit_admin(shared, |reply| AdminJob::Update { delta, reply });
-            }
-            Ok(Request::PrepareDir { dir }) => {
-                self.submit_admin(shared, |reply| AdminJob::PrepareDir {
-                    dir: PathBuf::from(dir),
-                    reply,
-                });
-            }
-            Ok(Request::PrepareUpdate { edges, assignments }) => {
-                let delta = build_delta(&edges, &assignments);
-                self.submit_admin(shared, |reply| AdminJob::PrepareUpdate { delta, reply });
-            }
-            Ok(Request::Commit) => self.submit_admin(shared, |reply| AdminJob::Commit { reply }),
-            Ok(Request::Abort) => self.submit_admin(shared, |reply| AdminJob::Abort { reply }),
+            Ok(Request::Admin(admin)) => self.submit_admin(shared, admin),
             Ok(Request::Shard) => {
                 let current = state.current();
                 let (index, count) = match current.engine.shard_spec() {
@@ -441,13 +419,9 @@ impl Conn {
     /// Hand one admin mutation to the updater thread and await its reply.
     /// Queries on other connections keep flowing the whole time — that is
     /// the point of the dedicated updater.
-    fn submit_admin(
-        &mut self,
-        shared: &EventShared,
-        make_job: impl FnOnce(channel::Sender<AdminReply>) -> AdminJob,
-    ) {
+    fn submit_admin(&mut self, shared: &EventShared, admin: Admin) {
         let (reply_tx, reply_rx) = channel::bounded(1);
-        if shared.admin.send(make_job(reply_tx)).is_err() {
+        if shared.admin.send((admin, reply_tx)).is_err() {
             self.queue(&Response::Err(ErrKind::ShuttingDown.into()));
             return;
         }
@@ -625,20 +599,6 @@ fn worker_vanished(shared: &EventShared) -> Response {
         ErrKind::Internal.because("worker vanished"),
         shared.state.metrics(),
     )
-}
-
-/// Build a [`Delta`] from the wire's raw edge/assignment tuples.
-fn build_delta(edges: &[(u32, u32, f64)], assignments: &[(u32, u32)]) -> Delta {
-    Delta {
-        new_edges: edges
-            .iter()
-            .map(|&(u, v, p)| (NodeId(u), NodeId(v), p))
-            .collect(),
-        new_assignments: assignments
-            .iter()
-            .map(|&(u, t)| (NodeId(u), TopicId(t)))
-            .collect(),
-    }
 }
 
 /// Map one worker reply onto the wire, counting it once per *client* reply

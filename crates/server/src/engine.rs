@@ -18,8 +18,8 @@
 //!   own: an empty table for an unowned node is indistinguishable from a
 //!   genuinely empty Γ(v), and the router must never be fed the former.
 
-use crate::protocol::{ErrKind, ProbeTable, WireError};
-use pit::{shard_of, Delta, PitEngine, ShardSpec, UpdateReport};
+use crate::protocol::{ErrKind, ProbeTable, Successor, WireError};
+use pit::{shard_of, DeltaScope, PitEngine, ShardSpec};
 use pit_graph::NodeId;
 use pit_search_core::{
     probe_gamma, CancelToken, RepUniverse, SearchError, SearchScratch, SearchStats, SearchTracer,
@@ -72,7 +72,7 @@ impl From<SearchError> for ServeError {
 ///
 /// Implementations must be cheap to `Arc`-share across worker threads and
 /// immutable per generation — a successor is always built off to the side
-/// (see [`ServeEngine::successor_from_dir`]) and swapped in atomically by
+/// (see [`ServeEngine::successor`]) and swapped in atomically by
 /// [`ServerState`](crate::state::ServerState).
 pub trait ServeEngine: Send + Sync {
     /// Users in the (full) social graph — shard slices still report the
@@ -160,26 +160,21 @@ pub trait ServeEngine: Send + Sync {
         probes: &[(u32, f64)],
     ) -> Result<(Vec<ProbeTable>, f64), WireError>;
 
-    /// Build a successor generation from the snapshot at `dir` (slow; runs
-    /// on the updater thread). The successor must be the same *kind* of
-    /// engine — a shard slice validates the snapshot's shard manifest
-    /// against its own spec, a router fans the reload out to its backends.
+    /// Build the next generation from `next` (slow; runs on the updater
+    /// thread). The successor must be the same *kind* of engine — a shard
+    /// slice validates a snapshot's shard manifest against its own spec and
+    /// applies a delta to its own rows only; a router moves its whole fleet,
+    /// all-or-keep-old. Beside the engine comes what the builder can vouch
+    /// for about cached answers: the delta's exact blast radius, or `None`
+    /// when nothing computed on the predecessor can be trusted.
     ///
     /// # Errors
     /// [`ErrKind::ReloadFailed`]; the caller keeps serving the old
     /// generation.
-    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, WireError>;
-
-    /// Build a successor generation by applying `delta` (slow; runs on the
-    /// updater thread).
-    ///
-    /// # Errors
-    /// [`ErrKind::ReloadFailed`]; the caller keeps serving the old
-    /// generation.
-    fn successor_from_delta(
+    fn successor(
         &self,
-        delta: &Delta,
-    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), WireError>;
+        next: &Successor,
+    ) -> Result<(Arc<dyn ServeEngine>, Option<DeltaScope>), WireError>;
 }
 
 /// Resolve query keywords against a (possibly absent) vocabulary — shared
@@ -351,53 +346,45 @@ impl ServeEngine for LocalServeEngine {
         Ok((tables, bound))
     }
 
-    fn successor_from_dir(&self, dir: &Path) -> Result<Arc<dyn ServeEngine>, WireError> {
-        let failed = |e: pit::store::StoreError| ErrKind::ReloadFailed.because(e.to_string());
-        let spec = pit::store::load_shard_spec(dir).map_err(failed)?;
-        if spec != self.shard {
-            let describe = |s: Option<ShardSpec>| match s {
-                Some(s) => format!("shard {s}"),
-                None => "a full (unsharded) engine".to_string(),
-            };
-            return Err(ErrKind::ReloadFailed.because(format!(
-                "snapshot is {}, this backend serves {}",
-                describe(spec),
-                describe(self.shard)
-            )));
-        }
-        // RELOAD targets snapshots this deployment's own pipeline staged;
-        // the fast loader maps and validates the section geometry in
-        // O(sections) without re-hashing every payload, which is what keeps
-        // snapshot swaps at millisecond latency on large engines.
-        let engine = pit::store::load_engine_fast(dir).map_err(failed)?;
-        Ok(Arc::new(LocalServeEngine {
+    fn successor(
+        &self,
+        next: &Successor,
+    ) -> Result<(Arc<dyn ServeEngine>, Option<DeltaScope>), WireError> {
+        let (engine, scope) = match next {
+            Successor::Snapshot(dir) => {
+                let failed =
+                    |e: pit::store::StoreError| ErrKind::ReloadFailed.because(e.to_string());
+                let spec = pit::store::load_shard_spec(dir).map_err(failed)?;
+                if spec != self.shard {
+                    let describe = |s: Option<ShardSpec>| match s {
+                        Some(s) => format!("shard {s}"),
+                        None => "a full (unsharded) engine".to_string(),
+                    };
+                    return Err(ErrKind::ReloadFailed.because(format!(
+                        "snapshot is {}, this backend serves {}",
+                        describe(spec),
+                        describe(self.shard)
+                    )));
+                }
+                // RELOAD targets snapshots this deployment's own pipeline
+                // staged; the fast loader maps and validates the section
+                // geometry in O(sections) without re-hashing every payload,
+                // which is what keeps snapshot swaps at millisecond latency
+                // on large engines.
+                (pit::store::load_engine_fast(dir).map_err(failed)?, None)
+            }
+            Successor::Delta(delta) => {
+                let (engine, report) = self
+                    .engine
+                    .with_delta_scoped(delta, self.shard.as_ref())
+                    .map_err(|e| ErrKind::ReloadFailed.because(e.to_string()))?;
+                (engine, Some(report.scope))
+            }
+        };
+        let next = LocalServeEngine {
             engine: Arc::new(engine),
             shard: self.shard,
-        }))
-    }
-
-    fn successor_from_delta(
-        &self,
-        delta: &Delta,
-    ) -> Result<(Arc<dyn ServeEngine>, UpdateReport), WireError> {
-        // Validate assignment topics up front: with_delta asserts on unknown
-        // topics, and an admin typo must be an ERR, not a panic.
-        let topics = self.engine.space().topic_count();
-        for &(_, t) in &delta.new_assignments {
-            if t.index() >= topics {
-                return Err(
-                    ErrKind::ReloadFailed.because(format!("delta references unknown topic {t}"))
-                );
-            }
-        }
-        let (next, report) = self
-            .engine
-            .with_delta_scoped(delta, self.shard.as_ref())
-            .map_err(|e| ErrKind::ReloadFailed.because(e.to_string()))?;
-        let next: Arc<dyn ServeEngine> = Arc::new(LocalServeEngine {
-            engine: Arc::new(next),
-            shard: self.shard,
-        });
-        Ok((next, report))
+        };
+        Ok((Arc::new(next), scope))
     }
 }

@@ -12,17 +12,19 @@
 //! **The engine is live-swappable.** The paper's Section 4.4 requires the
 //! offline artifacts to be refreshed "after a period of time when the
 //! social network and topics have changed"; a daemon that loads once and
-//! serves forever would go stale. The `RELOAD <dir>` and `UPDATE` admin
-//! verbs hand a snapshot load / [`pit::Delta`] apply to a dedicated
-//! **updater thread**, so the worker pool keeps answering queries on the
-//! old generation for the whole (possibly long) rebuild; only the final
-//! pointer swap takes a write lock, for nanoseconds. In-flight queries
-//! finish against the engine `Arc` they captured at admission; queries
-//! admitted after the swap see the new generation; cache entries are tagged
-//! with the generation that computed them and a cross-generation hit is a
-//! miss ([`cache`]), so no post-swap response is ever served from a
-//! pre-swap ranking. A failed load or apply leaves the old generation
-//! serving and answers `ERR reload-failed …`.
+//! serves forever would go stale. Every engine change is one
+//! [`protocol::Admin`] value — the six admin verbs are its wire spellings,
+//! tabulated there — and takes one path: the connection hands it to a
+//! dedicated **updater thread**, whose [`ServerState::admin`] builds the
+//! successor from the serving engine ([`ServeEngine::successor`]) and swaps
+//! it in or stages it. The worker pool keeps answering on the old
+//! generation for the whole (possibly long) build; only the final pointer
+//! swap takes a write lock, for nanoseconds. In-flight queries finish
+//! against the engine `Arc` they captured at admission; cache entries are
+//! tagged with the generation that computed them and a cross-generation hit
+//! is a miss ([`cache`]), so no post-swap response is ever served from a
+//! pre-swap ranking. A failed change leaves the old generation serving and
+//! answers `ERR reload-failed …`.
 //!
 //! Failure semantics are deadline-true and typed. A query's budget travels
 //! as a `CancelToken` (shared flag + deadline) checked cooperatively
@@ -36,7 +38,7 @@
 //! | `overloaded`     | the bounded queue was full; query shed at admission|
 //! | `malformed …`    | the request itself was invalid                     |
 //! | `internal …`     | a server fault (panicking job, vanished worker)    |
-//! | `reload-failed …`| a RELOAD/UPDATE failed; old generation still serves|
+//! | `reload-failed …`| an admin verb failed; old generation still serves  |
 //! | `shutting-down`  | the server is draining                             |
 //!
 //! Worker panics are caught per job ([`pool`]) and, should one ever escape,
@@ -50,8 +52,8 @@
 //! acceptor ──round-robin──► io threads (event loop) ──try_send──► bounded queue
 //!    │                        ▲   ▲ │  [conn state machines]           │
 //!    │ (shutdown flag)        │   └─┴──reply channels────◄──────── worker pool
-//!    │                        └─reply── updater thread (RELOAD/UPDATE,
-//!    │                                   swaps the engine generation)
+//!    │                        └─reply── updater thread (every `Admin`
+//!    │                                   value: build, then swap or stage)
 //!    └── on shutdown: stop accepting, drop the io channels, io threads
 //!        drain their connections, then join updater, drain pool (the
 //!        updater holds a pool sender for warmup, so it retires first)
@@ -83,17 +85,16 @@ pub use cache::{QueryCache, QueryKey};
 pub use engine::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
 pub use metrics::{LatencyHistogram, Metrics};
 pub use protocol::{
-    read_frame, write_frame, ErrKind, ProbeTable, Request, Response, WireError, MAX_FRAME_BYTES,
+    read_frame, write_frame, Admin, ErrKind, ProbeTable, Request, Response, Successor, WireError,
+    MAX_FRAME_BYTES,
 };
-pub use state::{EngineGen, RankedTopics, ServerConfig, ServerState};
+pub use state::{AdminReply, EngineGen, RankedTopics, ServerConfig, ServerState};
 pub use trace::{TraceCollector, TraceCtx, TraceOutcome};
 
 use crossbeam::channel::{self, Receiver, Sender};
-use pit::Delta;
 use pool::{Admission, Job, PoolClient, QueryJob, ReplyTo, WorkerPool};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -184,86 +185,24 @@ pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<S
     })
 }
 
-/// What the updater thread answers a successful admin verb with: a new
-/// serving generation (`RELOAD`/`UPDATE`/`COMMIT`/`ABORT`, rendered as
-/// `GEN <n>`) or a parked-but-not-serving stage (`PREPARE …`, rendered as
-/// `STAGED`).
-pub(crate) type AdminReply = Result<Option<u64>, WireError>;
+/// One engine change bound for the updater thread, with where to answer.
+pub(crate) type AdminJob = (Admin, Sender<AdminReply>);
 
-/// One admin mutation bound for the updater thread. Every verb replies
-/// through the same [`AdminReply`] shape or an [`ErrKind::ReloadFailed`].
-pub(crate) enum AdminJob {
-    /// `RELOAD <dir>`: load the snapshot at `dir`, swap it in.
-    Reload {
-        dir: PathBuf,
-        reply: Sender<AdminReply>,
-    },
-    /// `UPDATE`: apply an edge/assignment delta to the serving engine.
-    Update {
-        delta: Delta,
-        reply: Sender<AdminReply>,
-    },
-    /// `PREPARE DIR <dir>`: build the successor engine but park it staged —
-    /// phase one of a router's all-or-nothing fleet reload.
-    PrepareDir {
-        dir: PathBuf,
-        reply: Sender<AdminReply>,
-    },
-    /// `PREPARE UPDATE`: apply a delta into the staged slot without serving.
-    PrepareUpdate {
-        delta: Delta,
-        reply: Sender<AdminReply>,
-    },
-    /// `COMMIT`: swap whatever is staged into service.
-    Commit { reply: Sender<AdminReply> },
-    /// `ABORT`: discard any staged engine; idempotent.
-    Abort { reply: Sender<AdminReply> },
-}
-
-/// The updater thread: serializes every engine mutation so concurrent
-/// RELOAD/UPDATE requests apply one at a time, and the worker pool never
+/// The updater thread: the one caller of [`ServerState::admin`], so
+/// concurrent admin verbs apply one at a time and the worker pool never
 /// blocks on a rebuild. Exits when the last admin sender drops (drain),
 /// after finishing whatever was already queued.
 ///
-/// After a successful blanket-flush swap (`RELOAD`/`COMMIT`) the thread
-/// runs the bounded cache warmup ([`warm_cache`]) before replying, so a
-/// `GEN <n>` answer means the new generation's cache is as warm as the
-/// budget allowed. `UPDATE` never warms: its delta-scoped retag keeps the
-/// unaffected entries alive, which is the whole point of this module.
+/// After a successful blanket-flush swap the thread runs the bounded cache
+/// warmup ([`warm_cache`]) before replying, so a `GEN <n>` answer means the
+/// new generation's cache is as warm as the budget allowed.
 fn updater_loop(rx: &Receiver<AdminJob>, state: &ServerState, jobs: &PoolClient) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            AdminJob::Reload { dir, reply } => {
-                let result = state.reload(&dir);
-                if result.is_ok() {
-                    warm_cache(state, jobs);
-                }
-                let _ = reply.send(result.map(Some));
-            }
-            AdminJob::Update { delta, reply } => {
-                let _ = reply.send(
-                    state
-                        .apply_update(&delta)
-                        .map(|(generation, _)| Some(generation)),
-                );
-            }
-            AdminJob::PrepareDir { dir, reply } => {
-                let _ = reply.send(state.prepare_dir(&dir).map(|()| None));
-            }
-            AdminJob::PrepareUpdate { delta, reply } => {
-                let _ = reply.send(state.prepare_update(&delta).map(|()| None));
-            }
-            AdminJob::Commit { reply } => {
-                let result = state.commit_staged();
-                if result.is_ok() {
-                    warm_cache(state, jobs);
-                }
-                let _ = reply.send(result.map(Some));
-            }
-            AdminJob::Abort { reply } => {
-                let _ = reply.send(Ok(Some(state.abort_staged())));
-            }
+    while let Ok((admin, reply)) = rx.recv() {
+        let result = state.admin(&admin);
+        if result.is_ok() && admin.flushes_cache() {
+            warm_cache(state, jobs);
         }
+        let _ = reply.send(result);
     }
 }
 
@@ -403,7 +342,7 @@ fn accept_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pit::{PitEngine, SummarizerKind};
+    use pit::{Delta, PitEngine, SummarizerKind};
     use pit_index::PropIndexConfig;
     use pit_summarize::LrwConfig;
     use pit_walk::WalkConfig;
@@ -722,9 +661,10 @@ mod tests {
         };
         assert!(cached);
 
-        let reload = Request::Reload {
-            dir: dir.display().to_string(),
-        };
+        let reload = Request::Admin(Admin::Install {
+            next: Successor::Snapshot(dir.clone()),
+            commit: true,
+        });
         assert_eq!(roundtrip(&mut c, &reload), Response::Generation(2));
 
         // The identical query after the swap must be recomputed on the new
@@ -766,9 +706,10 @@ mod tests {
         let handle = serve(Arc::clone(&state), "127.0.0.1:0").unwrap();
         let mut c = TcpStream::connect(handle.addr()).unwrap();
 
-        let reload = Request::Reload {
-            dir: "/no/such/snapshot-dir".to_string(),
-        };
+        let reload = Request::Admin(Admin::Install {
+            next: Successor::Snapshot("/no/such/snapshot-dir".into()),
+            commit: true,
+        });
         let Response::Err(reason) = roundtrip(&mut c, &reload) else {
             panic!("reload of a missing snapshot must fail");
         };
@@ -830,10 +771,10 @@ mod tests {
             Response::Topics { cached: false, .. }
         ));
 
-        let update = Request::Update {
-            edges: vec![(u.0, v.0, 0.7)],
-            assignments: vec![],
-        };
+        let update = Request::Admin(Admin::Install {
+            next: Successor::Delta(delta),
+            commit: true,
+        });
         assert_eq!(roundtrip(&mut c, &update), Response::Generation(2));
 
         let Response::Topics { ranked, cached, .. } = roundtrip(&mut c, &query) else {
@@ -846,10 +787,13 @@ mod tests {
         assert_eq!(ranked, expected);
 
         // An invalid delta (unknown topic) must fail without a swap.
-        let bad = Request::Update {
-            edges: vec![],
-            assignments: vec![(5, 1_000_000)],
-        };
+        let bad = Request::Admin(Admin::Install {
+            next: Successor::Delta(Delta {
+                new_edges: vec![],
+                new_assignments: vec![(u, pit_graph::TopicId(1_000_000))],
+            }),
+            commit: true,
+        });
         let Response::Err(reason) = roundtrip(&mut c, &bad) else {
             panic!("bad delta must fail");
         };
@@ -950,10 +894,10 @@ mod tests {
             Response::Topics { cached: false, .. }
         ));
 
-        let update = Request::Update {
-            edges: vec![(6, 9, 0.9)],
-            assignments: vec![],
-        };
+        let update = Request::Admin(Admin::Install {
+            next: Successor::Delta(delta),
+            commit: true,
+        });
         assert_eq!(roundtrip(&mut c, &update), Response::Generation(2));
 
         // The island-A entry crossed the generation bump alive — and its
@@ -1017,9 +961,10 @@ mod tests {
             assert!(matches!(roundtrip(&mut c, &hot), Response::Topics { .. }));
         }
 
-        let reload = Request::Reload {
-            dir: dir.display().to_string(),
-        };
+        let reload = Request::Admin(Admin::Install {
+            next: Successor::Snapshot(dir.clone()),
+            commit: true,
+        });
         // The GEN reply arrives only after the warmup run finished.
         assert_eq!(roundtrip(&mut c, &reload), Response::Generation(2));
 

@@ -63,8 +63,11 @@
 //! not produce a servable engine; the prior generation keeps serving).
 
 use crate::metrics::{Counter, Metrics};
+use pit::Delta;
+use pit_graph::{NodeId, TopicId};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::path::PathBuf;
 
 /// Declare a fieldless enum whose variants have a wire spelling, from one
 /// `Variant => "spelling"` list. `ALL`, `as_str`, `from_str` and the dense
@@ -238,6 +241,66 @@ pub struct ProbeTable {
     pub cands: Vec<(u32, f64)>,
 }
 
+/// What the next engine generation is built from.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Successor {
+    /// A `pit::store::save_engine` directory on the **server's** filesystem
+    /// (for a router: the root of a split, one `shard-<i>` per backend).
+    Snapshot(PathBuf),
+    /// An edge/assignment delta applied to the serving engine (incremental
+    /// maintenance, paper Section 4.4).
+    Delta(Delta),
+}
+
+/// One engine change. The six admin verbs are the spellings of these
+/// values — source (directory | delta) × install (at once | staged) plus
+/// the two that settle a staged successor — and every layer below the wire
+/// grammar takes the value, not a verb:
+///
+/// | verb                 | value                                     | cache | reply     |
+/// |----------------------|-------------------------------------------|-------|-----------|
+/// | `RELOAD <dir>`       | `Install { Snapshot(dir), commit: true }` | flush | `GEN n+1` |
+/// | `UPDATE` + delta     | `Install { Delta(d), commit: true }`      | retag | `GEN n+1` |
+/// | `PREPARE DIR <dir>`  | `Install { Snapshot(dir), commit: false }`| —     | `STAGED`  |
+/// | `PREPARE UPDATE` + d | `Install { Delta(d), commit: false }`     | —     | `STAGED`  |
+/// | `COMMIT`             | `Commit`                                  | flush | `GEN n+1` |
+/// | `ABORT`              | `Abort`                                   | —     | `GEN n`   |
+///
+/// Any of them can answer `ERR reload-failed …`; the serving generation is
+/// then exactly what it was.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Admin {
+    /// Build a successor engine from `next`, then swap it in (`commit`) or
+    /// park it in the staging slot for a later [`Admin::Commit`].
+    Install {
+        /// What to build the successor from.
+        next: Successor,
+        /// Serve it at once, or stage it.
+        commit: bool,
+    },
+    /// Swap the staged successor in.
+    Commit,
+    /// Drop the staged successor, if any.
+    Abort,
+}
+
+impl Admin {
+    /// Whether this change, when it succeeds, swaps with a blanket cache
+    /// flush (the table's `flush` rows) — after which the updater thread
+    /// re-warms the hottest keys. A delta installed at once never does: its
+    /// scoped retag keeps the unaffected entries alive, which is the point.
+    pub fn flushes_cache(&self) -> bool {
+        matches!(
+            self,
+            Admin::Commit
+                | Admin::Install {
+                    next: Successor::Snapshot(_),
+                    commit: true,
+                }
+        )
+    }
+}
+
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -261,21 +324,8 @@ pub enum Request {
         /// How many traces of each kind to return (1..=[`MAX_TRACE_DUMP`]).
         n: usize,
     },
-    /// Admin: load the engine snapshot at `dir` (a `pit::store::save_engine`
-    /// directory on the **server's** filesystem) and swap it in as the next
-    /// serving generation.
-    Reload {
-        /// Engine directory path, server-side.
-        dir: String,
-    },
-    /// Admin: apply an edge/assignment delta to the serving engine
-    /// (incremental maintenance, paper Section 4.4) and swap in the result.
-    Update {
-        /// New influence edges `(from, to, transition probability)`.
-        edges: Vec<(u32, u32, f64)>,
-        /// New topic mentions `(user, topic)`.
-        assignments: Vec<(u32, u32)>,
-    },
+    /// Admin: one of the six engine-changing verbs; see [`Admin`].
+    Admin(Admin),
     /// Which shard slice (and generation) is this backend serving?
     Shard,
     /// Router: probe the Γ tables of `probes` frontier nodes against the
@@ -291,24 +341,6 @@ pub enum Request {
         /// Frontier entries `(node, ep)` to probe, in driver order.
         probes: Vec<(u32, f64)>,
     },
-    /// Two-phase reload, phase 1: build the successor engine from a
-    /// snapshot directory but do not swap it in.
-    PrepareDir {
-        /// Engine directory path, server-side.
-        dir: String,
-    },
-    /// Two-phase delta, phase 1: build the successor engine from a delta
-    /// but do not swap it in.
-    PrepareUpdate {
-        /// New influence edges `(from, to, transition probability)`.
-        edges: Vec<(u32, u32, f64)>,
-        /// New topic mentions `(user, topic)`.
-        assignments: Vec<(u32, u32)>,
-    },
-    /// Two-phase, phase 2: swap the staged successor in.
-    Commit,
-    /// Drop the staged successor without swapping.
-    Abort,
     /// Graceful stop: drain in-flight queries, then exit.
     Shutdown,
 }
@@ -389,24 +421,36 @@ impl Request {
             }
             "RELOAD" => {
                 single_line(verb)?;
-                // The path is the rest of the line, so directories with
-                // spaces survive the trip.
-                let dir = line
-                    .strip_prefix("RELOAD")
-                    .expect("verb matched")
-                    .trim()
-                    .to_string();
-                if dir.is_empty() {
-                    return Err(malformed("RELOAD missing engine directory"));
-                }
-                Ok(Request::Reload { dir })
+                let next = snapshot_dir(line, "RELOAD")?;
+                Ok(Request::Admin(Admin::Install { next, commit: true }))
             }
             "UPDATE" => {
                 if words.next().is_some() {
                     return Err(malformed("UPDATE takes no arguments on its head line"));
                 }
-                let (edges, assignments) = parse_delta_lines(lines)?;
-                Ok(Request::Update { edges, assignments })
+                let next = Successor::Delta(parse_delta_lines(lines)?);
+                Ok(Request::Admin(Admin::Install { next, commit: true }))
+            }
+            "PREPARE" => {
+                let next = match words.next() {
+                    Some("DIR") => {
+                        single_line(verb)?;
+                        snapshot_dir(line, "PREPARE DIR")?
+                    }
+                    Some("UPDATE") => {
+                        if words.next().is_some() {
+                            return Err(malformed(
+                                "PREPARE UPDATE takes no further head arguments",
+                            ));
+                        }
+                        Successor::Delta(parse_delta_lines(lines)?)
+                    }
+                    _ => return Err(malformed("PREPARE needs DIR <path> or UPDATE")),
+                };
+                Ok(Request::Admin(Admin::Install {
+                    next,
+                    commit: false,
+                }))
             }
             // The router verbs are machine-to-machine: stricter than the
             // operator verbs, trailing words are rejected too.
@@ -417,33 +461,10 @@ impl Request {
                 }
                 Ok(match verb {
                     "SHARD" => Request::Shard,
-                    "COMMIT" => Request::Commit,
-                    _ => Request::Abort,
+                    "COMMIT" => Request::Admin(Admin::Commit),
+                    _ => Request::Admin(Admin::Abort),
                 })
             }
-            "PREPARE" => match words.next() {
-                Some("DIR") => {
-                    single_line(verb)?;
-                    let dir = line
-                        .strip_prefix("PREPARE")
-                        .and_then(|r| r.trim_start().strip_prefix("DIR"))
-                        .map(str::trim)
-                        .unwrap_or_default()
-                        .to_string();
-                    if dir.is_empty() {
-                        return Err(malformed("PREPARE DIR missing engine directory"));
-                    }
-                    Ok(Request::PrepareDir { dir })
-                }
-                Some("UPDATE") => {
-                    if words.next().is_some() {
-                        return Err(malformed("PREPARE UPDATE takes no further head arguments"));
-                    }
-                    let (edges, assignments) = parse_delta_lines(lines)?;
-                    Ok(Request::PrepareUpdate { edges, assignments })
-                }
-                _ => Err(malformed("PREPARE needs DIR <path> or UPDATE")),
-            },
             "EXPAND" => {
                 let gen = words
                     .next()
@@ -520,21 +541,31 @@ impl Request {
             Request::Trace { n } => format!("TRACE {n}"),
             Request::Shutdown => "SHUTDOWN".to_string(),
             Request::Shard => "SHARD".to_string(),
-            Request::Commit => "COMMIT".to_string(),
-            Request::Abort => "ABORT".to_string(),
             Request::Query { user, k, keywords } => {
                 format!("QUERY {user} {k} {}", keywords.join(" "))
             }
-            Request::Reload { dir } => format!("RELOAD {dir}"),
-            Request::PrepareDir { dir } => format!("PREPARE DIR {dir}"),
-            Request::Update { edges, assignments } => {
-                let mut out = "UPDATE".to_string();
-                render_delta_lines(&mut out, edges, assignments);
-                out
-            }
-            Request::PrepareUpdate { edges, assignments } => {
-                let mut out = "PREPARE UPDATE".to_string();
-                render_delta_lines(&mut out, edges, assignments);
+            Request::Admin(Admin::Commit) => "COMMIT".to_string(),
+            Request::Admin(Admin::Abort) => "ABORT".to_string(),
+            Request::Admin(Admin::Install { next, commit }) => {
+                let mut out = match (next, commit) {
+                    (Successor::Snapshot(_), true) => "RELOAD",
+                    (Successor::Delta(_), true) => "UPDATE",
+                    (Successor::Snapshot(_), false) => "PREPARE DIR",
+                    (Successor::Delta(_), false) => "PREPARE UPDATE",
+                }
+                .to_string();
+                match next {
+                    Successor::Snapshot(dir) => out.push_str(&format!(" {}", dir.display())),
+                    Successor::Delta(delta) => {
+                        for (u, v, p) in &delta.new_edges {
+                            // 17 significant digits round-trip f64 exactly.
+                            out.push_str(&format!("\nEDGE {u} {v} {p:.17e}"));
+                        }
+                        for (u, t) in &delta.new_assignments {
+                            out.push_str(&format!("\nASSIGN {u} {t}"));
+                        }
+                    }
+                }
                 out
             }
             Request::Expand { gen, terms, probes } => {
@@ -552,14 +583,24 @@ impl Request {
     }
 }
 
+/// The snapshot directory of `RELOAD <dir>` / `PREPARE DIR <dir>`: the rest
+/// of the line after the `head` words, so directories with spaces survive
+/// the trip.
+fn snapshot_dir(line: &str, head: &str) -> Result<Successor, WireError> {
+    let mut dir = line;
+    for word in head.split(' ') {
+        dir = dir.trim_start().strip_prefix(word).unwrap_or_default();
+    }
+    if dir.trim().is_empty() {
+        return Err(malformed(format!("{head} missing engine directory")));
+    }
+    Ok(Successor::Snapshot(PathBuf::from(dir.trim())))
+}
+
 /// Parse `EDGE u v p` / `ASSIGN u t` continuation lines (shared by `UPDATE`
-/// and `PREPARE UPDATE`).
-#[allow(clippy::type_complexity)]
-fn parse_delta_lines<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<(Vec<(u32, u32, f64)>, Vec<(u32, u32)>), WireError> {
-    let mut edges = Vec::new();
-    let mut assignments = Vec::new();
+/// and `PREPARE UPDATE`) into the delta they spell.
+fn parse_delta_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Delta, WireError> {
+    let mut delta = Delta::default();
     for (i, l) in lines.enumerate() {
         if i >= MAX_DELTA_LINES {
             return Err(malformed(format!(
@@ -583,7 +624,8 @@ fn parse_delta_lines<'a>(
                 if !prob.is_finite() {
                     return Err(malformed("EDGE probability is not finite"));
                 }
-                edges.push((parse(u, "source")?, parse(v, "target")?, prob));
+                let (u, v) = (parse(u, "source")?, parse(v, "target")?);
+                delta.new_edges.push((NodeId(u), NodeId(v), prob));
             }
             Some("ASSIGN") => {
                 let (u, t) = (w.next(), w.next());
@@ -594,24 +636,14 @@ fn parse_delta_lines<'a>(
                     s.parse()
                         .map_err(|_| malformed(format!("ASSIGN {what} is not a u32")))
                 };
-                assignments.push((parse(u, "user")?, parse(t, "topic")?));
+                let (u, t) = (parse(u, "user")?, parse(t, "topic")?);
+                delta.new_assignments.push((NodeId(u), TopicId(t)));
             }
             Some(other) => return Err(malformed(format!("unknown UPDATE line kind {other}"))),
             None => return Err(malformed("empty UPDATE line")),
         }
     }
-    Ok((edges, assignments))
-}
-
-/// Render delta continuation lines (inverse of [`parse_delta_lines`]).
-fn render_delta_lines(out: &mut String, edges: &[(u32, u32, f64)], assignments: &[(u32, u32)]) {
-    for (u, v, p) in edges {
-        // 17 significant digits round-trip f64 exactly.
-        out.push_str(&format!("\nEDGE {u} {v} {p:.17e}"));
-    }
-    for (u, t) in assignments {
-        out.push_str(&format!("\nASSIGN {u} {t}"));
-    }
+    Ok(delta)
 }
 
 /// A server reply, rendered to one frame.
@@ -641,9 +673,8 @@ pub enum Response {
     /// Rendered traces (reply to [`Request::Trace`]), carried verbatim
     /// after a `TRACES` head line.
     Traces(String),
-    /// Reply to [`Request::Reload`] / [`Request::Update`] /
-    /// [`Request::Commit`] / [`Request::Abort`]: the generation now serving
-    /// (monotonically increasing across swaps).
+    /// Reply to every [`Admin`] value that does not stage: the generation
+    /// now serving (monotonically increasing across swaps).
     Generation(u64),
     /// Reply to [`Request::Shard`]: which slice this backend serves, under
     /// which generation. An unsharded server reports `0` of `1`.
@@ -666,8 +697,8 @@ pub enum Response {
         /// One table per probe, in request order.
         tables: Vec<ProbeTable>,
     },
-    /// Reply to [`Request::PrepareDir`] / [`Request::PrepareUpdate`]: the
-    /// successor engine is built and parked, awaiting `COMMIT` or `ABORT`.
+    /// Reply to a staging [`Admin::Install`]: the successor engine is built
+    /// and parked, awaiting `COMMIT` or `ABORT`.
     Staged,
     /// Reply to [`Request::Shutdown`].
     Bye,
@@ -1034,9 +1065,34 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
 mod tests {
     use super::*;
 
+    fn delta(edges: &[(u32, u32, f64)], assignments: &[(u32, u32)]) -> Delta {
+        Delta {
+            new_edges: edges
+                .iter()
+                .map(|&(u, v, p)| (NodeId(u), NodeId(v), p))
+                .collect(),
+            new_assignments: assignments
+                .iter()
+                .map(|&(u, t)| (NodeId(u), TopicId(t)))
+                .collect(),
+        }
+    }
+
     #[test]
     fn request_roundtrip() {
-        for req in [
+        let installs = [
+            Successor::Snapshot("/var/lib/pit/engine v2".into()),
+            Successor::Delta(delta(&[(3, 7, 0.1 + 0.2), (0, 1, 1.0 / 3.0)], &[(5, 2)])),
+            Successor::Delta(Delta::default()),
+        ]
+        .into_iter()
+        .flat_map(|next| {
+            [true, false].map(|commit| {
+                let next = next.clone();
+                Request::Admin(Admin::Install { next, commit })
+            })
+        });
+        let fixed = [
             Request::Ping,
             Request::Stats,
             Request::Metrics,
@@ -1048,52 +1104,49 @@ mod tests {
                 k: 10,
                 keywords: vec!["query-0".into(), "query-1".into()],
             },
-            Request::Reload {
-                dir: "/var/lib/pit/engine v2".into(),
-            },
-            Request::Update {
-                edges: vec![(3, 7, 0.1 + 0.2), (0, 1, 1.0 / 3.0)],
-                assignments: vec![(5, 2)],
-            },
-            Request::Update {
-                edges: vec![],
-                assignments: vec![],
-            },
             Request::Shard,
-            Request::Commit,
-            Request::Abort,
-            Request::PrepareDir {
-                dir: "/var/lib/pit/shards/shard-3".into(),
-            },
-            Request::PrepareUpdate {
-                edges: vec![(3, 7, 0.1 + 0.2)],
-                assignments: vec![(5, 2)],
-            },
-            Request::PrepareUpdate {
-                edges: vec![],
-                assignments: vec![],
-            },
+            Request::Admin(Admin::Commit),
+            Request::Admin(Admin::Abort),
             Request::Expand {
                 gen: 9,
                 terms: vec![0, 4],
                 probes: vec![(8, 1.0), (11, 0.1 + 0.2)],
             },
-        ] {
+        ];
+        for req in fixed.into_iter().chain(installs) {
             assert_eq!(Request::parse(&req.render()).unwrap(), req);
         }
     }
 
     #[test]
+    fn admin_verbs_spell_the_install_square() {
+        let dir = || Successor::Snapshot("/srv/e".into());
+        let edge = || Successor::Delta(delta(&[(1, 2, 0.5)], &[]));
+        for (text, next, commit) in [
+            ("RELOAD /srv/e", dir(), true),
+            ("PREPARE DIR /srv/e", dir(), false),
+            ("  RELOAD   /srv/e  ", dir(), true),
+            ("UPDATE\nEDGE 1 2 0.5", edge(), true),
+            ("PREPARE UPDATE\nEDGE 1 2 0.5", edge(), false),
+        ] {
+            let want = Request::Admin(Admin::Install { next, commit });
+            assert_eq!(Request::parse(text).unwrap(), want, "{text:?}");
+        }
+    }
+
+    #[test]
     fn update_edge_probabilities_roundtrip_exactly() {
-        let req = Request::Update {
-            edges: vec![(1, 2, 0.1 + 0.2), (3, 4, 1e-300)],
-            assignments: vec![],
-        };
-        let Request::Update { edges, .. } = Request::parse(&req.render()).unwrap() else {
+        let next = Successor::Delta(delta(&[(1, 2, 0.1 + 0.2), (3, 4, 1e-300)], &[]));
+        let req = Request::Admin(Admin::Install { next, commit: true });
+        let Request::Admin(Admin::Install {
+            next: Successor::Delta(delta),
+            ..
+        }) = Request::parse(&req.render()).unwrap()
+        else {
             panic!("wrong variant");
         };
-        assert_eq!(edges[0].2.to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(edges[1].2.to_bits(), 1e-300f64.to_bits());
+        assert_eq!(delta.new_edges[0].2.to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(delta.new_edges[1].2.to_bits(), 1e-300f64.to_bits());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! The offline artifacts (graph, topic space, walk/propagation/representative
 //! indexes) are immutable *per generation*: queries never mutate an engine.
-//! What can change is **which** engine is serving — a live `RELOAD` or
-//! `UPDATE` builds a successor off to the side and swaps it in atomically
-//! under [`ServerState`]'s generation lock. Readers grab an [`EngineGen`]
+//! What can change is **which** engine is serving — an [`Admin`] verb builds
+//! a successor off to the side and swaps it in atomically under
+//! [`ServerState`]'s generation lock. Readers grab an [`EngineGen`]
 //! (an `Arc` plus its generation number) once per request and keep using it
 //! even if a swap lands mid-flight; the old engine is freed when the last
 //! in-flight query drops its `Arc`. The only other synchronized pieces are
@@ -17,15 +17,14 @@ use crate::cache::{FlightRole, InflightMap, QueryCache, QueryKey, StaleReason};
 use crate::engine::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
 use crate::metrics::{self, Metrics, View};
 use crate::pool::JobReply;
-use crate::protocol::{ErrKind, WireError};
+use crate::protocol::{Admin, ErrKind, Successor, WireError};
 use crate::trace::TraceCollector;
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
-use pit::{Delta, DeltaScope, PitEngine, UpdateReport};
+use pit::{DeltaScope, PitEngine};
 use pit_graph::NodeId;
 use pit_search_core::{CancelToken, SearchScratch, SearchTracer};
 use pit_topics::KeywordQuery;
-use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -129,15 +128,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a generation swap does to the result cache, decided by the swap's
-/// provenance: a full engine replacement can vouch for nothing (flush),
-/// while a delta apply knows its exact blast radius (retag survivors).
-enum CacheAction {
-    /// Mark every entry stale with the given reason.
-    Flush(StaleReason),
-    /// Delta-aware sweep: entries outside the scope survive re-tagged.
-    Retag(DeltaScope),
-}
+/// What [`ServerState::admin`] answers: the generation now serving
+/// (rendered `GEN <n>`), or `None` for a successor parked but not serving
+/// (rendered `STAGED`). An error is always [`ErrKind::ReloadFailed`] and
+/// leaves the serving generation exactly as it was.
+pub type AdminReply = Result<Option<u64>, WireError>;
 
 /// Serving state shared by the acceptor, connection threads, the worker
 /// pool, and the updater thread.
@@ -208,10 +203,12 @@ impl ServerState {
         self.engine.read().clone()
     }
 
-    /// Install `engine` as the next generation, apply `action` to the
-    /// cache, and return the new generation number. Queries admitted before
-    /// the swap finish against the `Arc` they captured; queries admitted
-    /// after see only the new engine.
+    /// Install `engine` as the next generation and return its number. What
+    /// happens to the cache is decided by what the successor's builder could
+    /// vouch for: a known `scope` (a delta's exact blast radius) re-tags the
+    /// entries outside it, `None` (a wholesale replacement) marks every
+    /// entry stale. Queries admitted before the swap finish against the
+    /// `Arc` they captured; queries admitted after see only the new engine.
     ///
     /// The cache sweep runs while the engine write lock is still held: no
     /// reader can capture the new generation until the sweep finishes, so
@@ -219,163 +216,84 @@ impl ServerState {
     /// survivor in the instant before it is re-tagged. (Lock nesting is
     /// engine → cache; nothing locks in the other order.) Stale entries
     /// still die lazily — the sweep only flips flags, it frees nothing.
-    fn swap_engine(&self, engine: Arc<dyn ServeEngine>, action: CacheAction) -> u64 {
+    fn swap_engine(&self, engine: Arc<dyn ServeEngine>, scope: Option<&DeltaScope>) -> u64 {
         let mut slot = self.engine.write();
         let from_gen = slot.generation;
         slot.engine = engine;
         slot.generation += 1;
         let to_gen = slot.generation;
-        match action {
-            CacheAction::Flush(reason) => self.cache.mark_all_stale(reason),
-            CacheAction::Retag(scope) => self.cache.retag_after_update(from_gen, to_gen, &scope),
+        match scope {
+            Some(scope) => self.cache.retag_after_update(from_gen, to_gen, scope),
+            None => self.cache.mark_all_stale(StaleReason::FullReload),
         }
+        self.metrics.reloads.inc();
         to_gen
     }
 
-    /// Load the snapshot at `dir` and swap it in. Runs on the updater
-    /// thread: the worker pool keeps answering queries on the old
-    /// generation for the whole load.
+    /// Run one engine change — the only way the serving engine ever
+    /// changes. Slow for an [`Admin::Install`] (a disk load or a delta
+    /// apply): call it from the updater thread, so the worker pool keeps
+    /// answering on the old generation for the whole build.
+    ///
+    /// `Install` builds the successor from the serving engine, then either
+    /// swaps it in — a delta re-tags the cache entries outside its
+    /// [`DeltaScope`] so untouched users keep hitting across the bump, a
+    /// snapshot flushes — or parks it in the staging slot, replacing
+    /// whatever was staged. An empty delta installed at once is a no-op
+    /// reporting the current generation. `Commit` swaps the staged
+    /// successor in and always flushes: the slot does not carry a scope and
+    /// an arbitrary time passed since it was staged. `Abort` empties the
+    /// slot and is idempotent — a router aborting its whole fleet must be
+    /// able to hit backends that never staged.
     ///
     /// # Errors
-    /// [`ErrKind::ReloadFailed`] when the snapshot is missing, torn, or
-    /// corrupt; the old generation keeps serving and `reload_failures` is
-    /// bumped.
-    pub fn reload(&self, dir: &Path) -> Result<u64, WireError> {
-        let base = self.current();
-        self.admin_swap(|| {
-            let next = base.engine.successor_from_dir(dir)?;
-            // A wholesale replacement can vouch for no cached entry.
-            Ok((next, CacheAction::Flush(StaleReason::FullReload)))
-        })
-    }
-
-    /// Apply an edge/assignment delta to the current engine (building the
-    /// successor off to the side; see [`PitEngine::with_delta`]) and swap
-    /// the result in. Runs on the updater thread. An empty delta is a no-op
-    /// that reports the current generation without a swap.
-    ///
-    /// Unlike a full reload, the delta's [`DeltaScope`] is known exactly,
-    /// so the swap re-tags cache entries outside the scope instead of
-    /// flushing: untouched users keep hitting across the generation bump.
-    ///
-    /// # Errors
-    /// [`ErrKind::ReloadFailed`] when the delta is invalid (bad edge or
-    /// unknown topic); the old generation keeps serving.
-    pub fn apply_update(&self, delta: &Delta) -> Result<(u64, UpdateReport), WireError> {
-        if delta.is_empty() {
-            return Ok((self.current().generation, UpdateReport::default()));
+    /// [`ErrKind::ReloadFailed`] when the snapshot is missing, torn or of
+    /// the wrong shape, the delta is invalid, or `Commit` finds nothing
+    /// staged. The serving generation and the staging slot are left as they
+    /// were and `reload_failures` is bumped.
+    pub fn admin(&self, admin: &Admin) -> AdminReply {
+        let result = self.try_admin(admin);
+        if result.is_err() {
+            self.metrics.reload_failures.inc();
         }
-        let mut report = UpdateReport::default();
-        let base = self.current();
-        let generation = self.admin_swap(|| {
-            let (next, r) = base.engine.successor_from_delta(delta)?;
-            let scope = r.scope.clone();
-            report = r;
-            Ok((next, CacheAction::Retag(scope)))
-        })?;
-        Ok((generation, report))
+        result
     }
 
-    /// Two-phase reload, phase one: build a successor from the snapshot at
-    /// `dir` and park it in the staging slot. Nothing serves it until
-    /// `COMMIT`; a subsequent `PREPARE` replaces it. Runs on the updater
-    /// thread.
-    ///
-    /// # Errors
-    /// [`ErrKind::ReloadFailed`]; the staging slot is left as it was and
-    /// `reload_failures` is bumped.
-    pub fn prepare_dir(&self, dir: &Path) -> Result<(), WireError> {
-        let base = self.current();
-        self.stage(|| base.engine.successor_from_dir(dir))
-    }
-
-    /// Two-phase update, phase one: build a successor by applying `delta`
-    /// and park it in the staging slot.
-    ///
-    /// # Errors
-    /// Same contract as [`ServerState::prepare_dir`].
-    pub fn prepare_update(&self, delta: &Delta) -> Result<(), WireError> {
-        let base = self.current();
-        self.stage(|| Ok(base.engine.successor_from_delta(delta)?.0))
-    }
-
-    /// Shared staging plumbing: run `build` (slow), park the successor on
-    /// success. The build time lands in `reload_latency` — the commit
-    /// itself is just a pointer swap.
-    fn stage(
-        &self,
-        build: impl FnOnce() -> Result<Arc<dyn ServeEngine>, WireError>,
-    ) -> Result<(), WireError> {
-        let started = Instant::now();
-        if !self.config.reload_drag.is_zero() {
-            std::thread::sleep(self.config.reload_drag);
-        }
-        match build() {
-            Ok(engine) => {
-                self.metrics.reload_latency.observe(started.elapsed());
-                *self.staged.lock() = Some(engine);
-                Ok(())
-            }
-            Err(reason) => {
-                self.metrics.reload_failures.inc();
-                Err(reason)
-            }
-        }
-    }
-
-    /// Two-phase reload, phase two: swap the staged successor in and bump
-    /// the generation.
-    ///
-    /// # Errors
-    /// [`ErrKind::ReloadFailed`] when nothing is staged.
-    pub fn commit_staged(&self) -> Result<u64, WireError> {
-        let staged = self.staged.lock().take();
-        match staged {
-            Some(engine) => {
-                // The staged successor may have been built from a delta, but
-                // the staging slot does not carry its scope and an arbitrary
-                // time passed since PREPARE — flush, don't guess.
-                let generation =
-                    self.swap_engine(engine, CacheAction::Flush(StaleReason::FullReload));
-                self.metrics.reloads.inc();
-                Ok(generation)
-            }
-            None => {
-                self.metrics.reload_failures.inc();
-                Err(ErrKind::ReloadFailed.because("nothing staged; PREPARE first"))
-            }
-        }
-    }
-
-    /// Two-phase reload, abort: drop whatever is staged (idempotent — a
-    /// router aborting its whole fleet must be able to hit backends that
-    /// never staged) and report the still-serving generation.
-    pub fn abort_staged(&self) -> u64 {
-        *self.staged.lock() = None;
-        self.current().generation
-    }
-
-    /// Shared swap plumbing: run `build` (slow — a disk load or a delta
-    /// apply), then swap on success with the cache action `build` decided,
-    /// maintaining the reload counters and latency histogram either way.
-    fn admin_swap(
-        &self,
-        build: impl FnOnce() -> Result<(Arc<dyn ServeEngine>, CacheAction), WireError>,
-    ) -> Result<u64, WireError> {
-        let started = Instant::now();
-        if !self.config.reload_drag.is_zero() {
-            std::thread::sleep(self.config.reload_drag);
-        }
-        match build() {
-            Ok((engine, action)) => {
-                let generation = self.swap_engine(engine, action);
-                self.metrics.reloads.inc();
+    fn try_admin(&self, admin: &Admin) -> AdminReply {
+        match admin {
+            Admin::Install {
+                next: Successor::Delta(delta),
+                commit: true,
+            } if delta.is_empty() => Ok(Some(self.current().generation)),
+            Admin::Install { next, commit } => {
+                let started = Instant::now();
+                if !self.config.reload_drag.is_zero() {
+                    std::thread::sleep(self.config.reload_drag);
+                }
+                let (engine, scope) = self.current().engine.successor(next)?;
+                let generation = if *commit {
+                    Some(self.swap_engine(engine, scope.as_ref()))
+                } else {
+                    *self.staged.lock() = Some(engine);
+                    None
+                };
+                // The build is what takes the time; a later `Commit` is a
+                // pointer swap and observes nothing.
                 self.metrics.reload_latency.observe(started.elapsed());
                 Ok(generation)
             }
-            Err(reason) => {
-                self.metrics.reload_failures.inc();
-                Err(reason)
+            Admin::Commit => {
+                // Taken in its own statement: the staging lock is held only
+                // for the instant of the take, never across the swap.
+                let staged = self.staged.lock().take();
+                let engine = staged.ok_or_else(|| {
+                    ErrKind::ReloadFailed.because("nothing staged; PREPARE first")
+                })?;
+                Ok(Some(self.swap_engine(engine, None)))
+            }
+            Admin::Abort => {
+                *self.staged.lock() = None;
+                Ok(Some(self.current().generation))
             }
         }
     }

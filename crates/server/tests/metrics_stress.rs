@@ -8,7 +8,7 @@ use pit::{Delta, PitEngine, SummarizerKind};
 use pit_graph::NodeId;
 use pit_index::PropIndexConfig;
 use pit_search_core::{CancelToken, NoTracer, SearchScratch};
-use pit_server::{LatencyHistogram, ServerConfig, ServerState};
+use pit_server::{Admin, LatencyHistogram, ServerConfig, ServerState, Successor};
 use pit_summarize::LrwConfig;
 use pit_walk::WalkConfig;
 use proptest::prelude::*;
@@ -200,7 +200,11 @@ fn a_scrape_racing_inserts_reports_one_cache_census() {
                 new_edges: vec![(NodeId(round % 7), NodeId(100 + round % 11), 0.5)],
                 new_assignments: Vec::new(),
             };
-            state.apply_update(&delta).expect("valid delta");
+            let update = Admin::Install {
+                next: Successor::Delta(delta),
+                commit: true,
+            };
+            state.admin(&update).expect("valid delta");
         }
         let body = state.metrics_text();
         let get = |name: &str| -> u64 {

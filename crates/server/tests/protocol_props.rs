@@ -4,11 +4,30 @@
 //! observability verbs `TRACE` and `METRICS`, whose replies carry verbatim
 //! multi-line bodies.
 
+use pit::Delta;
+use pit_graph::{NodeId, TopicId};
 use pit_server::protocol::{
-    read_frame, ErrKind, ProbeTable, Request, Response, MAX_EXPAND_PROBES, MAX_K, MAX_KEYWORDS,
-    MAX_TRACE_DUMP,
+    read_frame, Admin, ErrKind, ProbeTable, Request, Response, Successor, MAX_EXPAND_PROBES, MAX_K,
+    MAX_KEYWORDS, MAX_TRACE_DUMP,
 };
 use proptest::prelude::*;
+
+fn install(next: Successor, commit: bool) -> Request {
+    Request::Admin(Admin::Install { next, commit })
+}
+
+fn delta(edges: &[(u32, u32, f64)], assignments: &[(u32, u32)]) -> Delta {
+    Delta {
+        new_edges: edges
+            .iter()
+            .map(|&(u, v, p)| (NodeId(u), NodeId(v), p))
+            .collect(),
+        new_assignments: assignments
+            .iter()
+            .map(|&(u, t)| (NodeId(u), TopicId(t)))
+            .collect(),
+    }
+}
 
 /// Tokens that steer the fuzz toward the parser's deep branches: real
 /// verbs, line kinds, and separators, mixed with junk.
@@ -147,8 +166,8 @@ proptest! {
             Request::Metrics,
             Request::Shutdown,
             Request::Trace { n },
-            Request::Reload { dir: format!("/srv/engine-{dir_seed}") },
-            Request::Update { edges: edges.clone(), assignments: assignments.clone() },
+            install(Successor::Snapshot(format!("/srv/engine-{dir_seed}").into()), true),
+            install(Successor::Delta(delta(&edges, &assignments)), true),
         ] {
             prop_assert_eq!(Request::parse(&req.render()), Ok(req));
         }
@@ -167,10 +186,10 @@ proptest! {
         prop_assert!(probes.len() <= MAX_EXPAND_PROBES);
         for req in [
             Request::Shard,
-            Request::Commit,
-            Request::Abort,
-            Request::PrepareDir { dir: format!("/srv/shard-{dir_seed}") },
-            Request::PrepareUpdate { edges: edges.clone(), assignments: assignments.clone() },
+            Request::Admin(Admin::Commit),
+            Request::Admin(Admin::Abort),
+            install(Successor::Snapshot(format!("/srv/shard-{dir_seed}").into()), false),
+            install(Successor::Delta(delta(&edges, &assignments)), false),
             Request::Expand { gen, terms: terms.clone(), probes: probes.clone() },
         ] {
             prop_assert_eq!(Request::parse(&req.render()), Ok(req));

@@ -46,7 +46,7 @@ fn main() {
             b.assign(m, t);
         }
     }
-    let mut engine = PitEngine::builder()
+    let engine = PitEngine::builder()
         .walk(WalkConfig::new(4, 64).with_seed(42))
         .propagation(PropIndexConfig::with_theta(0.005))
         .summarizer(SummarizerKind::Lrw(pit_summarize::LrwConfig {
@@ -59,8 +59,8 @@ fn main() {
     print_top(&engine, "before any change:");
 
     // Delta 1: user 4 (a Samsung advocate) starts influencing user 7.
-    let report = engine
-        .apply_delta(&Delta {
+    let (engine, report) = engine
+        .with_delta(&Delta {
             new_edges: vec![(user(4), user(7), 0.9)],
             new_assignments: vec![],
         })
@@ -73,8 +73,8 @@ fn main() {
 
     // Delta 2: user 5 — user 3's strongest influencer — starts talking
     // about HTC phones.
-    let report = engine
-        .apply_delta(&Delta {
+    let (engine, report) = engine
+        .with_delta(&Delta {
             new_edges: vec![],
             new_assignments: vec![(user(5), TopicId(2))],
         })

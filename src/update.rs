@@ -3,7 +3,7 @@
 //! Section 4.4: "the offline pre-processing is updated after a period of
 //! time when the social network and topics have changed." A full rebuild is
 //! always correct, but most of its cost is the per-node propagation tables;
-//! [`PitEngine::apply_delta`] refreshes only what a delta can actually
+//! [`PitEngine::with_delta`] refreshes only what a delta can actually
 //! affect:
 //!
 //! * **graph** — rebuilt from the edge delta (CSR is immutable; `O(|V|+|E|)`);
@@ -32,7 +32,7 @@ use pit_walk::{WalkIndex, WalkIndexParts};
 use rustc_hash::FxHashSet;
 
 /// A batch of changes to apply to a built engine.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Delta {
     /// New influence edges `(from, to, transition probability)`.
     pub new_edges: Vec<(NodeId, NodeId, f64)>,
@@ -47,7 +47,7 @@ impl Delta {
     }
 }
 
-/// What an [`PitEngine::apply_delta`] call actually did.
+/// What a [`PitEngine::with_delta`] call actually did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Γ tables recomputed (nodes downstream of new edges).
@@ -121,32 +121,20 @@ impl DeltaScope {
 }
 
 impl PitEngine {
-    /// Apply a [`Delta`] in place, refreshing only the affected offline
-    /// artifacts. See the module docs for the exact guarantees.
-    ///
-    /// # Errors
-    /// Returns a [`GraphError`] when the delta contains an invalid edge
-    /// (out-of-range endpoint, self-loop, bad probability, or a conflicting
-    /// duplicate of an existing edge).
-    pub fn apply_delta(&mut self, delta: &Delta) -> Result<UpdateReport, GraphError> {
-        if delta.is_empty() {
-            return Ok(UpdateReport::default());
-        }
-        let (next, report) = self.with_delta(delta)?;
-        *self = next;
-        Ok(report)
-    }
-
-    /// Build the engine that [`PitEngine::apply_delta`] would leave behind,
-    /// without touching `self`. This is the serving-side refresh primitive:
-    /// a live daemon keeps answering queries from the current engine while
-    /// the successor is constructed, then swaps atomically.
+    /// Build the engine `delta` leaves behind, without touching `self`,
+    /// refreshing only the affected offline artifacts (see the module docs
+    /// for the exact guarantees). This is the serving-side refresh
+    /// primitive: a live daemon keeps answering queries from the current
+    /// engine while the successor is constructed, then swaps atomically.
     ///
     /// An empty delta yields a clone of the current engine (all artifacts
     /// are shared-nothing copies) with a default report.
     ///
     /// # Errors
-    /// As [`PitEngine::apply_delta`].
+    /// Returns a [`GraphError`] when the delta contains an invalid edge
+    /// (out-of-range endpoint, self-loop, bad probability, or a conflicting
+    /// duplicate of an existing edge) or assigns to a node or topic that
+    /// does not exist.
     pub fn with_delta(&self, delta: &Delta) -> Result<(PitEngine, UpdateReport), GraphError> {
         self.with_delta_scoped(delta, None)
     }
@@ -164,7 +152,7 @@ impl PitEngine {
     /// With `shard == None` this is exactly [`PitEngine::with_delta`].
     ///
     /// # Errors
-    /// As [`PitEngine::apply_delta`].
+    /// As [`PitEngine::with_delta`].
     pub fn with_delta_scoped(
         &self,
         delta: &Delta,
@@ -185,10 +173,9 @@ impl PitEngine {
         }
         for &(v, t) in &delta.new_assignments {
             self.graph().check_node(v)?;
-            assert!(
-                t.index() < self.space().topic_count(),
-                "assignment references unknown topic {t}"
-            );
+            if t.index() >= self.space().topic_count() {
+                return Err(GraphError::UnknownTopic { topic: t });
+            }
         }
 
         // 1. Rebuild the graph with the new edges.
@@ -414,24 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_delta_is_a_noop() {
-        let mut e = engine();
-        let before = e.search_user_term(user(3), TermId(0), 3);
-        let report = e.apply_delta(&Delta::default()).unwrap();
-        assert_eq!(report, UpdateReport::default());
-        let after = e.search_user_term(user(3), TermId(0), 3);
-        assert_eq!(before.top_k, after.top_k);
-    }
-
-    #[test]
     fn gamma_refresh_matches_fresh_build_everywhere() {
-        let mut e = engine();
         let delta = Delta {
             // A strong new path into user 3's neighborhood.
             new_edges: vec![(user(11), user(6), 0.9)],
             new_assignments: vec![],
         };
-        let report = e.apply_delta(&delta).unwrap();
+        let (e, report) = engine().with_delta(&delta).unwrap();
         assert!(report.refreshed_gamma_tables > 0);
         assert!(report.walk_index_rebuilt);
 
@@ -449,7 +425,7 @@ mod tests {
 
     #[test]
     fn new_edge_changes_search_results() {
-        let mut e = engine();
+        let e = engine();
         let before = e.search_user_term(user(7), TermId(0), 1);
         // t2 currently has no influence on user 7; wire topic-2 member user 4
         // directly to 7 with a strong edge.
@@ -457,7 +433,7 @@ mod tests {
             new_edges: vec![(user(4), user(7), 0.9)],
             new_assignments: vec![],
         };
-        e.apply_delta(&delta).unwrap();
+        let (e, _) = e.with_delta(&delta).unwrap();
         let after = e.search_user_term(user(7), TermId(0), 1);
         // Before: HTC (t3) wins via 11→7. After, Samsung (t2) must at least
         // gain score; with a 0.9 edge it takes the top slot.
@@ -467,14 +443,14 @@ mod tests {
 
     #[test]
     fn new_assignment_resummarizes_topic() {
-        let mut e = engine();
+        let e = engine();
         // User 5 (a strong influencer of user 3) starts mentioning t3.
         let delta = Delta {
             new_edges: vec![],
             new_assignments: vec![(user(5), TopicId(2))],
         };
         let before = e.search_user_term(user(3), TermId(0), 3);
-        let report = e.apply_delta(&delta).unwrap();
+        let (e, report) = e.with_delta(&delta).unwrap();
         assert!(report.resummarized_topics >= 1);
         assert!(e.space().node_has_topic(user(5), TopicId(2)));
         let after = e.search_user_term(user(3), TermId(0), 3);
@@ -506,15 +482,9 @@ mod tests {
             before.top_k,
             e.search_user_term(user(7), TermId(0), 3).top_k
         );
-        // …while the successor is exactly what apply_delta would produce.
+        // …while the successor serves the post-delta one.
         let after = next.search_user_term(user(7), TermId(0), 3);
         assert_ne!(before.top_k, after.top_k, "delta had no effect");
-        let mut inplace = engine();
-        inplace.apply_delta(&delta).unwrap();
-        assert_eq!(
-            after.top_k,
-            inplace.search_user_term(user(7), TermId(0), 3).top_k
-        );
     }
 
     #[test]
@@ -530,17 +500,37 @@ mod tests {
 
     #[test]
     fn rejects_invalid_delta_edges() {
-        let mut e = engine();
+        let e = engine();
         let bad = Delta {
             new_edges: vec![(user(1), user(1), 0.5)],
             new_assignments: vec![],
         };
-        assert!(e.apply_delta(&bad).is_err());
+        assert!(e.with_delta(&bad).is_err());
         let bad = Delta {
             new_edges: vec![(user(1), user(2), 1.5)],
             new_assignments: vec![],
         };
-        assert!(e.apply_delta(&bad).is_err());
+        assert!(e.with_delta(&bad).is_err());
+    }
+
+    #[test]
+    fn unknown_topic_is_a_typed_error_on_full_and_sliced_engines() {
+        use crate::shard::{slice_engine, ShardSpec};
+        let e = engine();
+        let bad = Delta {
+            new_edges: vec![],
+            new_assignments: vec![(user(1), TopicId(9999))],
+        };
+        let unknown = GraphError::UnknownTopic {
+            topic: TopicId(9999),
+        };
+        assert_eq!(e.with_delta(&bad).err(), Some(unknown.clone()));
+        let spec = ShardSpec::new(0, 2);
+        let slice = slice_engine(&e, spec);
+        assert_eq!(
+            slice.with_delta_scoped(&bad, Some(&spec)).err(),
+            Some(unknown)
+        );
     }
 
     #[test]
