@@ -5,6 +5,8 @@
 //! never serve a post-swap response from the pre-swap cache. Failed
 //! reloads must leave the prior generation serving.
 
+#![allow(clippy::disallowed_types)]
+
 use pit::{store, PitEngine, SummarizerKind};
 use pit_server::protocol::{read_frame, write_frame, Admin, Request, Response, Successor};
 use std::io::{BufRead, BufReader};

@@ -12,6 +12,14 @@
 //! of wrapping `usize` — a wrapped counter would poison every subsequent
 //! peak measurement with a ~2^64 baseline.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "measurement-only counters, every access Relaxed: the allocation-call counter is \
+              read single-threaded at bracket boundaries by the allocation-freedom tests; the \
+              byte counters are kept sane by a saturating CAS and experiment brackets are \
+              single-threaded at observation points"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

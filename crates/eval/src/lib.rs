@@ -13,9 +13,9 @@
 //!   weights through the same matrix engine as the ground truth;
 //! * [`table`] — fixed-width text tables for paper-style output.
 
-// The only unsafe in the workspace lives in `alloc`; force every unsafe
-// operation inside those `unsafe fn`s into an explicit, SAFETY-commented
-// block (pit-lint rule L2 checks the comments).
+// This crate's only unsafe lives in `alloc`; force every unsafe operation
+// inside those `unsafe fn`s into an explicit block, which clippy's
+// `undocumented_unsafe_blocks` then requires to carry a `// SAFETY:` comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod alloc;

@@ -39,6 +39,8 @@
 //! assert!((p - 0.5).abs() < 1e-12);
 //! ```
 
+// Deterministic engine: no wall clock or sleep (DESIGN.md §10).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 // `deny` rather than `forbid`: the single sanctioned exception is the
 // `Pod` impl for the id newtypes in `ids` (see the SAFETY comment there),
 // which lets flat snapshots view id arrays in place.

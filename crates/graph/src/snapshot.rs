@@ -6,6 +6,10 @@
 //! benchmark invocation. Format: little-endian, versioned, length-prefixed
 //! edge list — deliberately boring and validated on load.
 
+// Lengths here come off the wire or the disk: arithmetic is checked, or
+// carries an `#[expect]` naming its bound (DESIGN.md §10).
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
@@ -33,7 +37,11 @@ impl From<FlatError> for GraphError {
 
 /// Serialize `g` into a self-describing byte buffer.
 pub fn encode(g: &CsrGraph) -> Box<[u8]> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + g.edge_count() * EDGE_LEN);
+    let mut buf = Vec::with_capacity(
+        g.edge_count()
+            .saturating_mul(EDGE_LEN)
+            .saturating_add(HEADER_LEN),
+    );
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
     buf.extend_from_slice(&(g.node_count() as u32).to_le_bytes());

@@ -18,6 +18,8 @@
 //! in-neighbors are all already indexed are not.
 
 #![forbid(unsafe_code)]
+// Deterministic engine: no wall clock or sleep (DESIGN.md §10).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod node;
 pub mod prop;

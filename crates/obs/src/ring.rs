@@ -1,13 +1,13 @@
 //! A fixed-size ring of finished traces.
 //!
-//! Writers claim a slot with one lock-free `fetch_add` on the cursor, then
+//! Writers claim a slot with one lock-free ticket from the cursor, then
 //! store the trace under that slot's (uncontended, per-slot) mutex. The
 //! ring overwrites oldest-first on wrap, never blocks a writer on another
 //! slot, and never allocates after construction beyond the traces it
 //! stores. Readers (`TRACE n`) walk backwards from the cursor.
 
 use crate::trace::Trace;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::Counter;
 use std::sync::Mutex;
 
 /// Fixed-capacity overwrite-on-wrap trace buffer.
@@ -15,7 +15,9 @@ use std::sync::Mutex;
 pub struct TraceRing {
     slots: Vec<Mutex<Option<Trace>>>,
     /// Total pushes ever; `cursor % capacity` is the next slot to claim.
-    cursor: AtomicU64,
+    /// A pure ticket source: the trace itself is published through the
+    /// slot's mutex, which supplies all the ordering.
+    cursor: Counter,
 }
 
 impl TraceRing {
@@ -24,7 +26,7 @@ impl TraceRing {
         let capacity = capacity.max(1);
         TraceRing {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
+            cursor: Counter::new(0),
         }
     }
 
@@ -35,12 +37,12 @@ impl TraceRing {
 
     /// Total traces ever captured (including ones since overwritten).
     pub fn captured(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.cursor.get()
     }
 
     /// Store `trace`, overwriting the oldest entry when full.
     pub fn push(&self, trace: Trace) {
-        let claim = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let claim = self.cursor.add(1);
         let slot = &self.slots[(claim % self.slots.len() as u64) as usize];
         // A poisoned slot only means a panicking thread died mid-store; the
         // old value is still a whole Trace, so recover and overwrite it.
@@ -50,7 +52,7 @@ impl TraceRing {
 
     /// The last `n` captured traces, newest first.
     pub fn recent(&self, n: usize) -> Vec<Trace> {
-        let cursor = self.cursor.load(Ordering::Relaxed);
+        let cursor = self.cursor.get();
         let take = (n as u64).min(cursor).min(self.slots.len() as u64);
         let mut out = Vec::with_capacity(take as usize);
         for back in 1..=take {

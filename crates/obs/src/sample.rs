@@ -2,17 +2,17 @@
 //!
 //! Sampling must be nearly free when off: `Sampler::every(0)` answers with
 //! a single branch and no atomic traffic, and an enabled sampler costs one
-//! relaxed `fetch_add` per decision. Deterministic modular sampling (every
+//! [`Counter`] increment per decision. Deterministic modular sampling (every
 //! N-th query) is used instead of randomness so tests can pin which
 //! queries get traced.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::Counter;
 
 /// Samples every N-th decision; `N = 0` disables sampling entirely.
 #[derive(Debug)]
 pub struct Sampler {
     every: u64,
-    seen: AtomicU64,
+    seen: Counter,
 }
 
 impl Sampler {
@@ -21,7 +21,7 @@ impl Sampler {
     pub fn every(every: u64) -> Self {
         Sampler {
             every,
-            seen: AtomicU64::new(0),
+            seen: Counter::new(0),
         }
     }
 
@@ -35,9 +35,7 @@ impl Sampler {
         if self.every == 0 {
             return false;
         }
-        self.seen
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(self.every)
+        self.seen.add(1).is_multiple_of(self.every)
     }
 }
 

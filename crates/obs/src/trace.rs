@@ -9,7 +9,7 @@
 //! identity and work counters into an immutable [`Trace`], which is what
 //! the ring buffer stores and the `TRACE` verb renders.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::Counter;
 use std::time::{Duration, Instant};
 
 /// Process-wide monotonically increasing trace id.
@@ -20,12 +20,12 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u64);
 
-static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_TRACE_ID: Counter = Counter::new(1);
 
 impl TraceId {
     /// Allocate the next id.
     pub fn next() -> TraceId {
-        TraceId(NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed))
+        TraceId(NEXT_TRACE_ID.add(1))
     }
 }
 

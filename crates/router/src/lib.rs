@@ -30,6 +30,20 @@
 //!   search globally; shards whose frontier never rose above the running
 //!   k-th score are never contacted and counted in `shards_pruned`.
 
+// Serving code does not panic (DESIGN.md §10); a site that must carries an
+// `#[expect]` stating why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod sharded;
 pub mod transport;
 

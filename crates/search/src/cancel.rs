@@ -8,6 +8,13 @@
 //! cheap to clone — the flag is an `Arc<AtomicBool>` shared between the
 //! waiter (which sets it on budget expiry) and the worker (which polls it).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the cancellation flag is a one-way false-to-true latch: cancel() stores with \
+              Release and is_cancelled() loads with Acquire, so whatever the canceller wrote \
+              before cancelling is visible to the thread that observes the stop"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,10 +88,11 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A token observing (and able to set) a shared flag.
-    pub fn with_flag(flag: Arc<AtomicBool>) -> Self {
+    /// A token with a fresh flag, shared by every clone: any clone's
+    /// [`CancelToken::cancel`] stops them all.
+    pub fn cancellable() -> Self {
         CancelToken {
-            flag: Some(flag),
+            flag: Some(Arc::new(AtomicBool::new(false))),
             ..CancelToken::default()
         }
     }
@@ -140,6 +148,12 @@ impl CancelToken {
             }
         }
         match self.deadline {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deadline checks decide only whether a search completes, never what it \
+                          ranks; results of a completed search are identical with or without a \
+                          deadline"
+            )]
             Some(deadline) => Instant::now() >= deadline,
             None => false,
         }
@@ -149,6 +163,11 @@ impl CancelToken {
     /// then reports whether the search should stop.
     pub fn checkpoint(&self) -> bool {
         if !self.check_delay.is_zero() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test-only drag injection, inert in production where check_delay is \
+                          zero; exists so cancellation tests can force a mid-search deadline"
+            )]
             std::thread::sleep(self.check_delay);
         }
         self.is_cancelled()
@@ -170,7 +189,7 @@ mod tests {
 
     #[test]
     fn flag_is_shared_between_clones() {
-        let t = CancelToken::with_flag(Arc::new(AtomicBool::new(false)));
+        let t = CancelToken::cancellable();
         let clone = t.clone();
         assert!(!clone.is_cancelled());
         t.cancel();

@@ -15,6 +15,21 @@
 //!   topics remain.
 
 #![forbid(unsafe_code)]
+// Deterministic engine: no wall clock or sleep (DESIGN.md §10).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+// Serving code does not panic (DESIGN.md §10); a site that must carries an
+// `#[expect]` stating why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod audience;
 pub mod cancel;

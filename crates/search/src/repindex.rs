@@ -34,6 +34,11 @@ impl TopicRepIndex {
         let chunk = topics.len().div_ceil(threads);
 
         let mut computed: Vec<(TopicId, RepresentativeSet)> = Vec::with_capacity(topics.len());
+        #[expect(
+            clippy::expect_used,
+            reason = "crossbeam::scope errs only when a scoped thread panicked; offline index \
+                      construction must abort loudly rather than emit a partial summary"
+        )]
         crossbeam::scope(|s| {
             let mut handles = Vec::new();
             for part in topics.chunks(chunk.max(1)) {
@@ -44,6 +49,12 @@ impl TopicRepIndex {
                 }));
             }
             for h in handles {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "join() only errs if the worker panicked; propagating that panic \
+                              (rather than returning a truncated index) is the intended \
+                              behaviour during offline build"
+                )]
                 computed.extend(h.join().expect("summarization worker panicked"));
             }
         })

@@ -147,8 +147,12 @@ impl<'a> PersonalizedSearcher<'a> {
         let (cancel, mut scratch) = (CancelToken::none(), SearchScratch::new());
         match self.try_search(query, &cancel, &mut NoTracer, &mut scratch) {
             Ok(outcome) => outcome,
-            // A no-op token never cancels, so the only reachable error is
-            // the out-of-range user this method documents as a panic.
+            #[expect(
+                clippy::panic,
+                reason = "documented API contract: search() is the panicking convenience wrapper \
+                          over try_search, its # Panics section covers the only reachable error \
+                          (out-of-range user), and a none() token never cancels"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -500,7 +504,8 @@ mod tests {
     }
 
     /// A tracer that records callbacks; pit-search may not read clocks
-    /// (pit-lint L4), so only order and details are checked here.
+    /// (clippy's `disallowed_methods`), so only order and details are
+    /// checked here.
     #[derive(Default)]
     struct EchoTracer {
         events: Vec<(bool, SearchPhase, u64)>,
@@ -605,10 +610,8 @@ mod tests {
 
         // A pre-cancelled token stops at the very first checkpoint: only
         // the query user's own table gets probed.
-        let token = CancelToken::with_flag(std::sync::Arc::new(
-            std::sync::atomic::AtomicBool::new(true),
-        ))
-        .with_check_every(1);
+        let token = CancelToken::cancellable().with_check_every(1);
+        token.cancel();
         let err = try_plain(&searcher, &q, &token).unwrap_err();
         let SearchError::Cancelled {
             probed_tables,

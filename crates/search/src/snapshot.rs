@@ -5,6 +5,10 @@
 //! time when the social network and topics have changed", so persistence
 //! between refreshes is the expected deployment mode.
 
+// Lengths here come off the wire or the disk: arithmetic is checked, or
+// carries an `#[expect]` naming its bound (DESIGN.md §10).
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::repindex::TopicRepIndex;
 use pit_graph::{NodeId, TopicId};
 use pit_store::{ByteReader, FlatError};

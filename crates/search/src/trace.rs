@@ -1,7 +1,8 @@
 //! Clock-free tracing hooks for the searcher.
 //!
-//! The engine crates are deterministic by contract (pit-lint rule L4: no
-//! `Instant::now` here), so the searcher cannot timestamp its own stages.
+//! The engine crates are deterministic by contract (clippy's
+//! `disallowed_methods` denies `Instant::now` here), so the searcher cannot
+//! timestamp its own stages.
 //! Instead it emits `phase_begin`/`phase_end` callbacks through a
 //! [`SearchTracer`], and the *server* layer — which owns the clock and the
 //! trace ring — implements the trait and captures timestamps on its side of

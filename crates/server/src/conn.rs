@@ -23,7 +23,6 @@ use crossbeam::channel::{self, Receiver, TryRecvError};
 use pit_search_core::SearchError;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Read chunk size per sweep; frames larger than this just take more sweeps.
@@ -390,7 +389,7 @@ impl Conn {
             Ok(Request::Metrics) => self.queue(&Response::Metrics(state.metrics_text())),
             Ok(Request::Trace { n }) => self.queue(&Response::Traces(state.tracing().dump(n))),
             Ok(Request::Shutdown) => {
-                shared.stop.store(true, Ordering::Release);
+                shared.stop.cancel();
                 self.queue(&Response::Bye);
                 self.mode = Mode::Closing;
             }

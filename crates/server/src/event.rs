@@ -22,8 +22,8 @@ use crate::pool::WorkerPool;
 use crate::state::ServerState;
 use crate::AdminJob;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use pit_search_core::CancelToken;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,7 @@ pub(crate) struct EventShared {
     /// Sending side of the updater thread's queue.
     pub(crate) admin: Sender<AdminJob>,
     /// The graceful-stop flag (`SHUTDOWN` verb or [`crate::ServerHandle`]).
-    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) stop: CancelToken,
 }
 
 /// One I/O thread: own a share of the client sockets, sweep them until the
@@ -50,7 +50,7 @@ pub(crate) fn io_loop(shared: &EventShared, incoming: &Receiver<TcpStream>) {
     let mut backoff = BACKOFF_MIN;
     let mut disconnected = false;
     loop {
-        let stopping = shared.stop.load(Ordering::Acquire);
+        let stopping = shared.stop.is_cancelled();
         let mut progress = false;
         loop {
             match incoming.try_recv() {

@@ -70,6 +70,19 @@
 //! ranking N times.
 
 #![forbid(unsafe_code)]
+// Serving code does not panic (DESIGN.md §10); a site that must carries an
+// `#[expect]` stating why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod cache;
 mod conn;
@@ -92,10 +105,10 @@ pub use state::{AdminReply, EngineGen, RankedTopics, ServerConfig, ServerState};
 pub use trace::{TraceCollector, TraceCtx, TraceOutcome};
 
 use crossbeam::channel::{self, Receiver, Sender};
+use pit_search_core::CancelToken;
 use pool::{Admission, Job, PoolClient, QueryJob, ReplyTo, WorkerPool};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -109,7 +122,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: CancelToken,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -122,7 +135,7 @@ impl ServerHandle {
     /// Request a graceful stop: stop accepting, let in-flight queries
     /// finish, then exit. Idempotent.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.cancel();
     }
 
     /// Block until the acceptor, every connection, and the worker pool have
@@ -142,7 +155,7 @@ pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<S
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = CancelToken::cancellable();
     let pool = WorkerPool::start(Arc::clone(&state));
     let (admin_tx, admin_rx) = channel::unbounded::<AdminJob>();
     let updater = {
@@ -156,7 +169,7 @@ pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<S
         state,
         pool,
         admin: admin_tx,
-        stop: Arc::clone(&stop),
+        stop: stop.clone(),
     });
     // A fixed, small I/O thread count — connection count never grows it.
     let io_threads = shared.state.config().io_threads.max(1);
@@ -173,7 +186,7 @@ pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<S
         senders.push(tx);
     }
     let acceptor = {
-        let stop = Arc::clone(&stop);
+        let stop = stop.clone();
         std::thread::Builder::new()
             .name("pit-acceptor".to_string())
             .spawn(move || accept_loop(&listener, shared, senders, io_handles, updater, &stop))?
@@ -282,10 +295,10 @@ fn accept_loop(
     senders: Vec<Sender<TcpStream>>,
     io_handles: Vec<JoinHandle<()>>,
     updater: JoinHandle<()>,
-    stop: &AtomicBool,
+    stop: &CancelToken,
 ) {
     let mut next = 0usize;
-    while !stop.load(Ordering::Acquire) {
+    while !stop.is_cancelled() {
         match listener.accept() {
             Ok((mut stream, _)) => {
                 let metrics = shared.state.metrics();
@@ -335,6 +348,11 @@ fn accept_loop(
             let _ = updater.join();
             sh.pool.shutdown();
         }
+        #[expect(
+            clippy::unreachable,
+            reason = "every Arc clone of the shared event state is owned by an I/O thread and all \
+                      of them were joined above, so Arc::try_unwrap cannot find another holder"
+        )]
         Err(_) => unreachable!("all I/O threads joined"),
     }
 }
@@ -992,6 +1010,40 @@ mod tests {
         roundtrip(&mut c, &Request::Shutdown);
         handle.join();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_length_prefix_closes_the_connection_without_a_reply() {
+        // The event loop's frame reader must refuse a length prefix above
+        // the cap before buffering toward it: no reply, the connection
+        // closes, and the server keeps serving everyone else.
+        let state = tiny_state(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let handle = serve(state, "127.0.0.1:0").unwrap();
+        for len in [MAX_FRAME_BYTES as u32 + 1, u32::MAX] {
+            let mut c = TcpStream::connect(handle.addr()).unwrap();
+            c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            c.write_all(&len.to_le_bytes()).unwrap();
+            c.write_all(b"PING").unwrap();
+            let mut buf = [0u8; 64];
+            match std::io::Read::read(&mut c, &mut buf) {
+                Ok(0) => {}
+                Err(e) => assert!(
+                    !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                    "prefix {len}: connection left open ({e})"
+                ),
+                Ok(n) => panic!("prefix {len}: got a {n}-byte reply instead of a close"),
+            }
+            let mut fresh = TcpStream::connect(handle.addr()).unwrap();
+            assert_eq!(roundtrip(&mut fresh, &Request::Ping), Response::Pong);
+        }
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Serving metrics: one registry declaring every signal the daemon exposes.
 //!
-//! Each counter, gauge and histogram is one row of [`signals!`]: its field
+//! Each counter, gauge and histogram is one row of `signals!`: its field
 //! (or the expression that computes it), kind, `STATS` key, Prometheus
 //! series and help text. `STATS` and `METRICS` are each one loop over the
 //! rows, run only when a reply is rendered; recording stays a direct field
@@ -15,45 +15,9 @@
 use crate::cache::StaleReason;
 use crate::state::ServerConfig;
 use parking_lot::RwLock;
-use pit_obs::prom;
-use std::sync::atomic::{AtomicU64, Ordering};
+use pit_obs::{prom, Counter};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A telemetry atomic: a monotone tally or a point-in-time gauge that is
-/// only ever read to be reported. Nothing is published through it, so every
-/// access is `Relaxed` — by construction, here, rather than by a waiver at
-/// each call site.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n` (scatter-gather counters arrive batched per query).
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtract one. Callers pair every `dec` with an earlier `inc` on the
-    /// same gauge, so the value never wraps.
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Overwrite a gauge (last-run style gauges like the warmup coverage).
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Bucket count. Bucket 0 holds 0µs exactly; bucket `i ≥ 1` covers
 /// `[2^(i-1), 2^i)` µs, so the largest bounded bucket tops out at
@@ -125,12 +89,12 @@ impl LatencyHistogram {
         self.sum.get()
     }
 
-    /// Per-bucket observation counts, in the layout of [`BUCKETS`].
+    /// Per-bucket observation counts, in the layout of `BUCKETS`.
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.counts.iter().map(Counter::get).collect()
     }
 
-    /// The quantile-`q` estimate in µs; see [`quantile`].
+    /// The quantile-`q` estimate in µs; see `quantile`.
     pub fn quantile_micros(&self, q: f64) -> u64 {
         quantile(&self.bucket_counts(), q)
     }

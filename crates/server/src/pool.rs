@@ -22,9 +22,9 @@ use crate::trace::{TraceCtx, TraceOutcome};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use pit_obs::trace::Stage;
+use pit_obs::Counter;
 use pit_search_core::{CancelToken, SearchError, SearchScratch, SearchStats};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -129,10 +129,11 @@ struct PoolShared {
     /// Live worker handles; respawned replacements are recorded here so
     /// shutdown joins them too.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Monotonic id source for worker thread names.
-    next_id: AtomicUsize,
-    /// Set once shutdown begins; sentinels stop respawning past this point.
-    draining: AtomicBool,
+    /// Ticket source for worker thread names.
+    next_id: Counter,
+    /// Cancelled once shutdown begins; sentinels stop respawning past this
+    /// point.
+    draining: CancelToken,
 }
 
 /// The worker pool plus the sending side of its queue.
@@ -191,12 +192,15 @@ impl WorkerPool {
             rx,
             state,
             handles: Mutex::named("server.pool.handles", Vec::with_capacity(workers)),
-            next_id: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
+            next_id: Counter::new(0),
+            draining: CancelToken::cancellable(),
         });
         for _ in 0..workers {
-            // Startup, before any request is admitted: a host that cannot
-            // spawn its configured workers cannot serve and must die loudly.
+            #[expect(
+                clippy::expect_used,
+                reason = "startup-only: runs before the listener accepts any connection, so \
+                          failing fast is the correct behaviour; there is no request to degrade"
+            )]
             spawn_worker(&shared).expect("spawn worker thread");
         }
         WorkerPool { jobs, shared }
@@ -221,7 +225,7 @@ impl WorkerPool {
     /// Stop accepting new jobs, drain the queue, and join every worker —
     /// including any respawned replacements.
     pub fn shutdown(self) {
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.draining.cancel();
         drop(self.jobs); // workers drain the queue, then see Disconnected
         loop {
             // Pop one handle at a time: a dying worker's sentinel may still
@@ -244,7 +248,7 @@ impl WorkerPool {
 /// is fatal (pool startup) or lost capacity to absorb (sentinel respawn,
 /// which runs during unwinding where a second panic would abort).
 fn spawn_worker(shared: &Arc<PoolShared>) -> std::io::Result<()> {
-    let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+    let id = shared.next_id.add(1);
     let cloned = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name(format!("pit-worker-{id}"))
@@ -269,7 +273,7 @@ struct Sentinel {
 
 impl Drop for Sentinel {
     fn drop(&mut self) {
-        if std::thread::panicking() && !self.shared.draining.load(Ordering::Acquire) {
+        if std::thread::panicking() && !self.shared.draining.is_cancelled() {
             self.shared.state.metrics().panics.inc();
             // Already unwinding: a panic here would abort the process, so a
             // failed respawn is absorbed as reduced capacity, not escalated.

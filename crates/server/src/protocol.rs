@@ -62,9 +62,14 @@
 //! reported as a timeout), and `reload-failed` (a `RELOAD`/`UPDATE` could
 //! not produce a servable engine; the prior generation keeps serving).
 
-use crate::metrics::{Counter, Metrics};
+// Lengths here come off the wire or the disk: arithmetic is checked, or
+// carries an `#[expect]` naming its bound (DESIGN.md §10).
+#![deny(clippy::arithmetic_side_effects)]
+
+use crate::metrics::Metrics;
 use pit::Delta;
 use pit_graph::{NodeId, TopicId};
+use pit_obs::Counter;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -1027,6 +1032,10 @@ pub fn write_frame<W: Write>(w: &mut W, text: &str) -> io::Result<()> {
     }
     // One write per frame: splitting the length prefix from the payload
     // triggers Nagle/delayed-ACK stalls (~40 ms) on real sockets.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "bytes.len() <= MAX_FRAME_BYTES was checked above"
+    )]
     let mut frame = Vec::with_capacity(4 + bytes.len());
     frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     frame.extend_from_slice(bytes);

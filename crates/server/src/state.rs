@@ -25,7 +25,6 @@ use pit::{DeltaScope, PitEngine};
 use pit_graph::NodeId;
 use pit_search_core::{CancelToken, SearchScratch, SearchTracer};
 use pit_topics::KeywordQuery;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -351,7 +350,7 @@ impl ServerState {
     /// A fresh cancellation token armed with `deadline` and the configured
     /// check cadence — the single source of truth for one query's budget.
     pub fn query_token(&self, deadline: Instant) -> CancelToken {
-        CancelToken::with_flag(Arc::new(AtomicBool::new(false)))
+        CancelToken::cancellable()
             .with_deadline(deadline)
             .with_check_every(self.config.cancel_check_tables)
     }
@@ -435,7 +434,15 @@ impl ServerState {
         scratch: &mut SearchScratch,
     ) -> Result<(RankedTopics, ServeOutcome), ServeError> {
         if self.config.poison_user == Some(key.user) {
-            panic!("poisoned query for user {} (fault injection)", key.user);
+            #[expect(
+                clippy::panic,
+                reason = "deliberate fault injection behind the poison-user test knob, used to \
+                          exercise the worker pool's catch_unwind/respawn path; unreachable for \
+                          real queries"
+            )]
+            {
+                panic!("poisoned query for user {} (fault injection)", key.user);
+            }
         }
         let dragged;
         let cancel = if self.config.drag_user == Some(key.user) {

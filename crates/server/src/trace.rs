@@ -16,9 +16,10 @@
 //! otherwise — so the queries an operator most needs to see are never lost
 //! to the sampling rate.
 //!
-//! This module is also where pit-lint rule L4 is honored: the deterministic
-//! searcher emits clock-free [`SearchPhase`] callbacks, and the
-//! [`SearchTracer`] impl here timestamps them against the admission epoch.
+//! This module is also where the engine crates' clock ban is honored: the
+//! deterministic searcher emits clock-free [`SearchPhase`] callbacks, and
+//! the [`SearchTracer`] impl here timestamps them against the admission
+//! epoch.
 
 use crate::cache::QueryKey;
 use crate::metrics::Metrics;
@@ -110,7 +111,7 @@ impl TraceCtx {
     }
 }
 
-/// The L4 boundary: the clock-free searcher's phase callbacks are
+/// The clock boundary: the clock-free searcher's phase callbacks are
 /// timestamped here, on the server side of the trait object.
 impl SearchTracer for TraceCtx {
     fn phase_begin(&mut self, phase: SearchPhase) {

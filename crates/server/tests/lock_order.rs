@@ -6,7 +6,8 @@
 //! deliberate acquisition-order inversion between two named locks and
 //! asserts the detector panics, naming both locks — so a green diagnostics
 //! run over the real serving stack means the detector was actually armed,
-//! not silently compiled out.
+//! not silently compiled out. The declared order (DESIGN.md §10: the engine
+//! lock before the cache lock) is pinned on the real `UPDATE` swap path.
 //!
 //! The acquisition-order graph is process-global and keyed by lock name;
 //! every test here uses names unique to itself so tests stay independent
@@ -173,4 +174,68 @@ fn server_nesting_order_is_recorded_and_clean() {
     let key = QueryKey::new(1, 10, vec![pit_graph::TermId(0)]);
     cache.insert(key.clone(), 1, 42);
     assert_eq!(cache.get(&key, 1), Some(42));
+}
+
+#[test]
+fn update_swap_records_engine_before_cache_and_the_reverse_fires() {
+    // The declared order: a swap retags the cache while it holds the engine
+    // write lock. Drive one UPDATE through a real ServerState so the real
+    // swap path records `server.state.engine → server.cache.lru`, then
+    // show the reverse acquisition is diagnosed. Names are order classes,
+    // so stand-in locks carrying the real names probe the real edge.
+    use pit::{Delta, PitEngine, SummarizerKind};
+    use pit_graph::NodeId;
+    use pit_server::{Admin, ServerConfig, ServerState, Successor};
+    use std::sync::Arc;
+
+    let spec = pit_datasets::DatasetSpec {
+        name: "lock-order".to_string(),
+        nodes: 120,
+        kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 3 },
+        topics: pit_datasets::spec::scaled_topic_config(120, 5),
+        seed: 5,
+    };
+    let ds = pit_datasets::generate(&spec);
+    let engine = PitEngine::builder()
+        .walk(pit_walk::WalkConfig::new(3, 4).with_seed(1))
+        .propagation(pit_index::PropIndexConfig::with_theta(0.05))
+        .summarizer(SummarizerKind::Lrw(pit_summarize::LrwConfig {
+            rep_count: Some(4),
+            ..pit_summarize::LrwConfig::default()
+        }))
+        .build_with_vocab(ds.graph, ds.space, Some(ds.vocab));
+    let absent = (2..120)
+        .map(NodeId)
+        .find(|&v| !engine.graph().has_edge(NodeId(1), v))
+        .expect("node 1 is not adjacent to everyone");
+    let config = ServerConfig {
+        cache_capacity: 16,
+        ..ServerConfig::default()
+    };
+    let state = ServerState::new(Arc::new(engine), config);
+    let update = Admin::Install {
+        next: Successor::Delta(Delta {
+            new_edges: vec![(NodeId(1), absent, 0.5)],
+            new_assignments: Vec::new(),
+        }),
+        commit: true,
+    };
+    state.admin(&update).expect("valid delta");
+    assert!(
+        parking_lot::acquisition_order_edges()
+            .contains(&("server.state.engine", "server.cache.lru")),
+        "the UPDATE swap must record engine → cache"
+    );
+
+    let engine_lock = RwLock::named("server.state.engine", ());
+    let cache_lock = Mutex::named("server.cache.lru", ());
+    let msg = panic_message(|| {
+        let _c = cache_lock.lock();
+        let _e = engine_lock.write();
+    });
+    assert!(
+        msg.contains("server.state.engine") && msg.contains("server.cache.lru"),
+        "got: {msg}"
+    );
+    assert!(msg.contains("lock-order inversion"), "got: {msg}");
 }

@@ -4,6 +4,8 @@
 //! observation is a single atomic `fetch_add` on its bucket — and a scrape
 //! racing cache inserts must still report one consistent cache census.
 
+#![allow(clippy::disallowed_types)]
+
 use pit::{Delta, PitEngine, SummarizerKind};
 use pit_graph::NodeId;
 use pit_index::PropIndexConfig;

@@ -122,14 +122,18 @@ impl FlatWriter {
                 })?;
         // HEADER_LEN and ENTRY_LEN are both multiples of ALIGN, so the
         // first payload needs no leading pad.
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "the section count was checked against MAX_SECTIONS above, so this is at \
+                      most 32 + 64 * 32"
+        )]
         let mut offset = HEADER_LEN + table_len;
         let mut entries = Vec::with_capacity(self.sections.len());
         for (kind, elem, bytes, count) in &self.sections {
             entries.push((*kind, *elem, offset as u64, *count, fnv64_words(bytes)));
             offset = offset
                 .checked_add(bytes.len())
-                .and_then(|o| o.checked_add(ALIGN - 1))
-                .map(|o| o / ALIGN * ALIGN)
+                .and_then(|o| o.checked_next_multiple_of(ALIGN))
                 .ok_or_else(|| FlatError::LimitExceeded {
                     what: "container size".to_string(),
                 })?;
@@ -232,8 +236,12 @@ impl FlatFile {
         }
         let table_checksum = hdr.read_u64()?;
 
-        let table_len = section_count * ENTRY_LEN; // <= 64 * 32, cannot overflow
-        let table_end = HEADER_LEN + table_len;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "section_count was checked against MAX_SECTIONS above, so this is at most \
+                      32 + 64 * 32"
+        )]
+        let table_end = HEADER_LEN + section_count * ENTRY_LEN;
         if bytes.len() < table_end {
             return Err(FlatError::Truncated {
                 what: "section table".to_string(),
@@ -247,7 +255,8 @@ impl FlatFile {
         }
 
         let mut sections = Vec::with_capacity(section_count);
-        let mut prev: Option<SectionInfo> = None;
+        // The previous entry's kind and payload end.
+        let mut prev: Option<(u16, usize, usize)> = None;
         let mut rd = ByteReader::new(table, "section table");
         for _ in 0..section_count {
             let kind = rd.read_u16()?;
@@ -274,7 +283,7 @@ impl FlatFile {
                     .ok_or_else(|| FlatError::LimitExceeded {
                         what: format!("section {kind} byte length"),
                     })?;
-            offset
+            let end = offset
                 .checked_add(byte_len)
                 .filter(|&e| e <= bytes.len())
                 .ok_or_else(|| FlatError::Truncated {
@@ -284,30 +293,26 @@ impl FlatFile {
                 // kind 0 stands for the header/table region itself.
                 return Err(FlatError::Overlap { kind, prev_kind: 0 });
             }
-            if let Some(p) = prev {
-                if offset < p.offset {
+            if let Some((prev_kind, prev_offset, prev_end)) = prev {
+                if offset < prev_offset {
                     return Err(FlatError::OutOfOrder { kind });
                 }
-                if offset < p.offset + p.byte_len {
-                    return Err(FlatError::Overlap {
-                        kind,
-                        prev_kind: p.kind,
-                    });
+                if offset < prev_end {
+                    return Err(FlatError::Overlap { kind, prev_kind });
                 }
             }
             if sections.iter().any(|s: &SectionInfo| s.kind == kind) {
                 return Err(FlatError::DuplicateSection { kind });
             }
-            let info = SectionInfo {
+            sections.push(SectionInfo {
                 kind,
                 elem,
                 offset,
                 count,
                 byte_len,
                 checksum,
-            };
-            sections.push(info);
-            prev = Some(info);
+            });
+            prev = Some((kind, offset, end));
         }
 
         Ok(FlatFile { map, sections })
@@ -316,8 +321,7 @@ impl FlatFile {
     /// The payload tier: one zero-copy FNV pass over every section's bytes.
     pub fn verify_checksums(&self) -> Result<(), FlatError> {
         for s in &self.sections {
-            let payload = &self.map.bytes()[s.offset..s.offset + s.byte_len];
-            if fnv64_words(payload) != s.checksum {
+            if fnv64_words(self.payload(s)) != s.checksum {
                 return Err(FlatError::ChecksumMismatch {
                     what: format!("section {}", s.kind),
                 });
@@ -349,7 +353,13 @@ impl FlatFile {
     /// Raw payload bytes of `kind` (blob sections; any element type).
     pub fn bytes_of(&self, kind: u16) -> Result<&[u8], FlatError> {
         let s = self.require(kind)?;
-        Ok(&self.map.bytes()[s.offset..s.offset + s.byte_len])
+        Ok(self.payload(s))
+    }
+
+    /// The payload bytes of a validated entry (`open` checked that they lie
+    /// inside the file).
+    fn payload(&self, s: &SectionInfo) -> &[u8] {
+        &self.map.bytes()[s.offset..][..s.byte_len]
     }
 
     /// A zero-copy typed view of section `kind`.
@@ -390,8 +400,7 @@ impl FlatFile {
     }
 
     fn array_owned_info<T: Pod>(&self, s: &SectionInfo) -> Vec<T> {
-        let payload = &self.map.bytes()[s.offset..s.offset + s.byte_len];
-        payload
+        self.payload(s)
             .chunks_exact(std::mem::size_of::<T>())
             .map(T::from_le)
             .collect()

@@ -32,6 +32,9 @@
 //! checksum — surfaces as a typed [`FlatError`], never a panic.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+// Lengths here come off the wire or the disk: arithmetic is checked, or
+// carries an `#[expect]` naming its bound (DESIGN.md §10).
+#![deny(clippy::arithmetic_side_effects)]
 
 pub mod error;
 pub mod flat;

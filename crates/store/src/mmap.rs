@@ -120,9 +120,9 @@ impl Mapping {
 /// View the heap fallback's word buffer as its original bytes.
 fn heap_bytes(buf: &[u64], len: usize) -> &[u8] {
     // SAFETY: `buf` is a live `&[u64]` allocation of at least `len` bytes
-    // (len <= buf.len() * 8 by construction in `open`); u64 has no padding,
-    // every byte of it is initialized, and u8 has alignment 1.
-    unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), len.min(buf.len() * 8)) }
+    // (len <= size_of_val(buf) by construction in `open`); u64 has no
+    // padding, every byte of it is initialized, and u8 has alignment 1.
+    unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), len.min(size_of_val(buf))) }
 }
 
 impl Drop for Mapping {

@@ -65,8 +65,11 @@ impl<T: Pod> Sect<T> {
             Sect::Owned(v) => v.as_slice(),
             Sect::Mapped { map, offset, len } => {
                 let bytes = map.bytes();
-                debug_assert!(offset + len * std::mem::size_of::<T>() <= bytes.len());
-                debug_assert_eq!(offset % std::mem::align_of::<T>(), 0);
+                debug_assert!(len
+                    .checked_mul(std::mem::size_of::<T>())
+                    .and_then(|n| n.checked_add(*offset))
+                    .is_some_and(|end| end <= bytes.len()));
+                debug_assert_eq!(offset.checked_rem(std::mem::align_of::<T>()), Some(0));
                 // SAFETY: FlatFile validated at open that the window
                 // [offset, offset + len * size_of::<T>()) lies inside the
                 // mapping and that `offset` is 16-byte aligned (>= align of

@@ -20,6 +20,8 @@
 //! [`RepresentativeSet`] the online search (`pit-search-core`) consumes.
 
 #![forbid(unsafe_code)]
+// Deterministic engine: no wall clock or sleep (DESIGN.md §10).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod lrw;
 pub mod rcl;

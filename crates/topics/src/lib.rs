@@ -17,6 +17,8 @@
 //! drives search cost (the paper reports ~500+ topics matched per query tag).
 
 #![forbid(unsafe_code)]
+// Deterministic engine: no wall clock or sleep (DESIGN.md §10).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod lda;
 pub mod query;

@@ -3,6 +3,10 @@
 //! Complements the graph snapshot in `pit-graph`: together they make a
 //! generated corpus fully reloadable without regeneration.
 
+// Lengths here come off the wire or the disk: arithmetic is checked, or
+// carries an `#[expect]` naming its bound (DESIGN.md §10).
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::space::{TopicSpace, TopicSpaceBuilder};
 use crate::vocab::Vocabulary;
 use pit_graph::{NodeId, TermId};

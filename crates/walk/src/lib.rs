@@ -25,6 +25,8 @@
 //! estimation accuracy).
 
 #![forbid(unsafe_code)]
+// Deterministic engine: no wall clock or sleep (DESIGN.md §10).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod engine;
 pub mod hoeffding;

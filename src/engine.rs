@@ -1,5 +1,19 @@
 //! The end-to-end PIT-Search engine: offline pipeline + online queries.
 
+// Serving code does not panic (DESIGN.md §10); a site that must carries an
+// `#[expect]` stating why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use pit_graph::{CsrGraph, NodeId, TermId};
 use pit_index::{PropIndexConfig, PropagationIndex};
 use pit_search_core::{
@@ -181,6 +195,12 @@ impl PitEngine {
         let (cancel, mut scratch) = (CancelToken::none(), SearchScratch::new());
         match self.try_search(query, k, &cancel, &mut NoTracer, &mut scratch) {
             Ok(outcome) => outcome,
+            #[expect(
+                clippy::panic,
+                reason = "documented API contract: search() is the panicking convenience facade \
+                          over try_search, its # Panics section covers the only reachable error \
+                          (out-of-range user); serving paths call try_search"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

@@ -16,6 +16,10 @@
 //! walk rows are empty, plus a tiny `shard.pits` manifest recording
 //! `(index, count)` so a serving daemon knows which slice it holds.
 
+// Lengths here come off the wire or the disk: arithmetic is checked, or
+// carries an `#[expect]` naming its bound (DESIGN.md §10).
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::engine::PitEngine;
 use crate::store::{self, StoreError};
 use pit_graph::NodeId;
@@ -28,6 +32,11 @@ const SHARD_MAGIC: &[u8; 4] = b"PITS";
 const SHARD_VERSION: u8 = 1;
 
 /// Which shard owns a node under an `count`-way modulo map.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "count is a validated shard count: ShardSpec::new asserts and ShardSpec::decode \
+              rejects zero, and a router's count is the length of its non-empty shard list"
+)]
 pub fn shard_of(v: NodeId, count: u32) -> u32 {
     debug_assert!(count >= 1, "shard count must be positive");
     v.0 % count
@@ -211,7 +220,13 @@ pub fn verify_split(source: &PitEngine, dirs: &[PathBuf]) -> Result<SplitReport,
             )));
         }
         let owner = owners[0] as usize;
-        owned_per_shard[owner] += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "one increment per node, so bounded by the node count"
+        )]
+        {
+            owned_per_shard[owner] += 1;
+        }
         for (i, shard) in engines.iter().enumerate() {
             let gamma = shard.propagation().gamma(v);
             if i == owner {

@@ -40,6 +40,23 @@
 //! al.) is reported as [`StoreError::UnsupportedVersion`], not garbage:
 //! re-run the offline stage to produce a flat snapshot.
 
+// Lengths here come off the wire or the disk: arithmetic is checked, or
+// carries an `#[expect]` naming its bound (DESIGN.md §10).
+#![deny(clippy::arithmetic_side_effects)]
+// Serving code does not panic (DESIGN.md §10); a site that must carries an
+// `#[expect]` stating why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::engine::{PitEngine, SummarizerKind};
 use pit_graph::{CsrGraph, NodeId};
 use pit_index::{PropIndexConfig, PropagationIndex};

@@ -23,6 +23,20 @@
 //! from-scratch build would resample their walks identically anyway. The
 //! tests pin down the exact guarantees.
 
+// Serving code does not panic (DESIGN.md §10); a site that must carries an
+// `#[expect]` stating why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::engine::{PitEngine, SummarizerKind};
 use pit_graph::{GraphError, NodeId, TermId, TopicId};
 use pit_index::PropagationIndex;

@@ -18,9 +18,18 @@ use pit_graph::fixtures::{figure1_graph, figure1_topics, user};
 use pit_search_core::{CancelToken, NoTracer, SearchConfig, SearchDriver, SearchScratch};
 use pit_topics::{KeywordQuery, TopicSpaceBuilder};
 use pit_walk::WalkConfig;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// The allocation counter is process-wide, so the tests measure one at a
+/// time: a bracket must not count another test thread's allocations.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Build the figure-1 engine, round-trip it through a flat snapshot, and
 /// return the mapped load — the hot path under test is the one production
@@ -39,7 +48,7 @@ fn mapped_engine(tag: &str) -> PitEngine {
     let built = PitEngine::builder()
         .walk(WalkConfig::new(4, 16).with_seed(7))
         .build_with_vocab(graph, b.build(), Some(vocab));
-    // Per-test directory: the two tests run on parallel threads.
+    // Per-test directory, so the tests never share a snapshot path.
     let dir = std::env::temp_dir().join(format!("pit-alloc-reg-{tag}-{}", std::process::id()));
     store::save_engine(&dir, &built).unwrap();
     let engine = store::load_engine(&dir).unwrap();
@@ -91,6 +100,7 @@ fn loop_alloc_calls(
 
 #[test]
 fn warm_round_loop_is_allocation_free() {
+    let _one_at_a_time = measuring();
     let engine = mapped_engine("loop");
     let query = KeywordQuery::new(user(3), vec![pit_graph::TermId(0)]);
     let mut scratch = SearchScratch::new();
@@ -114,6 +124,7 @@ fn warm_round_loop_is_allocation_free() {
 
 #[test]
 fn warm_full_search_allocates_only_the_result() {
+    let _one_at_a_time = measuring();
     let engine = mapped_engine("full");
     let query = KeywordQuery::new(user(3), vec![pit_graph::TermId(0)]);
     let cancel = CancelToken::none();

@@ -6,6 +6,8 @@
 //! index arrays straight out of the file mapping changes nothing about
 //! query semantics, only about load cost.
 
+#![allow(clippy::disallowed_types)]
+
 use pit::engine::PitEngine;
 use pit::store;
 use pit_graph::{GraphBuilder, NodeId, TermId};

@@ -10,6 +10,8 @@
 //! silently-wrong engine (any corruption the checksummed loader accepts
 //! must leave every ranking bit-identical to the pristine snapshot's).
 
+#![allow(clippy::disallowed_types)]
+
 use pit_graph::fixtures::{figure1_graph, figure1_topics};
 use pit_graph::{TermId, TopicId};
 use pit_search_core::TopicRepIndex;
@@ -323,6 +325,22 @@ mod flat {
             bytes[at..at + 8].copy_from_slice(&prev_offset);
             resign_table(&mut bytes);
             assert_rejected_or_identical(&bytes, "overlap");
+        }
+
+        /// A section count whose byte length overflows, or whose payload
+        /// would end past the file, is a typed error in the structural pass.
+        #[test]
+        fn flat_section_extent_past_the_file_is_rejected(idx in 0usize..32, shift in 0u32..40) {
+            let mut bytes = baseline().bytes.clone();
+            let idx = idx % section_count(&bytes);
+            let at = HEADER_LEN + idx * ENTRY_LEN + 16;
+            bytes[at..at + 8].copy_from_slice(&(u64::MAX >> shift).to_le_bytes());
+            resign_table(&mut bytes);
+            prop_assert!(matches!(
+                try_open(&bytes),
+                Err(FlatError::Truncated { .. } | FlatError::LimitExceeded { .. })
+            ));
+            prop_assert!(matches!(try_load(&bytes), Err(StoreError::Corrupt(_))));
         }
 
         /// A wrong payload checksum passes the structural open (so the
