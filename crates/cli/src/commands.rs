@@ -1,6 +1,6 @@
 //! Subcommand implementations for the `pit` binary.
 
-use crate::args::Parsed;
+use crate::args::{CliError, Parsed};
 use pit::store;
 use pit::{Delta, PitEngine, SummarizerKind};
 use pit_datasets::paper_specs;
@@ -14,10 +14,11 @@ use std::fs;
 use std::path::Path;
 
 /// `pit generate` — synthesize a Figure-4 corpus and write its snapshots.
-pub fn generate(p: &Parsed) -> Result<(), String> {
+pub fn generate(p: &Parsed) -> Result<(), CliError> {
     let name = p.require("dataset")?;
     let out = Path::new(p.require("out")?);
     let scale: usize = p.num("scale", 30)?;
+    p.finish()?;
     let specs = paper_specs(scale);
     let spec = specs.iter().find(|s| s.name == name).ok_or_else(|| {
         format!(
@@ -60,7 +61,7 @@ pub fn generate(p: &Parsed) -> Result<(), String> {
 }
 
 /// `pit build` — run the offline stage over a saved corpus.
-pub fn build(p: &Parsed) -> Result<(), String> {
+pub fn build(p: &Parsed) -> Result<(), CliError> {
     let corpus = Path::new(p.require("corpus")?);
     let out = Path::new(p.require("out")?);
     let theta: f64 = p.num("theta", 0.01)?;
@@ -76,8 +77,9 @@ pub fn build(p: &Parsed) -> Result<(), String> {
             c_size: reps,
             ..RclConfig::default()
         }),
-        other => return Err(format!("unknown summarizer {other} (lrw|rcl)")),
+        other => return Err(format!("unknown summarizer {other} (lrw|rcl)").into()),
     };
+    p.finish()?;
 
     let graph = pit_graph::snapshot::decode(
         &fs::read(corpus.join("graph.pitg")).map_err(|e| e.to_string())?,
@@ -118,20 +120,23 @@ pub fn build(p: &Parsed) -> Result<(), String> {
 }
 
 /// `pit query` — top-k personalized influential topics for one user.
-pub fn query(p: &Parsed) -> Result<(), String> {
-    let engine = load(p)?;
+pub fn query(p: &Parsed) -> Result<(), CliError> {
+    let dir = p.require("engine")?;
     let user: u32 = p.num("user", u32::MAX)?;
     if user == u32::MAX {
         return Err("missing required flag --user".into());
     }
+    let keywords: Vec<&str> = p.require("keywords")?.split(',').collect();
+    let k: usize = p.num("k", 10)?;
+    p.finish()?;
+    let engine = load(dir)?;
     if user as usize >= engine.graph().node_count() {
         return Err(format!(
             "user {user} out of range (graph has {} users)",
             engine.graph().node_count()
-        ));
+        )
+        .into());
     }
-    let keywords: Vec<&str> = p.require("keywords")?.split(',').collect();
-    let k: usize = p.num("k", 10)?;
     let t0 = std::time::Instant::now();
     let out = engine.search_keywords(NodeId(user), &keywords, k)?;
     let dt = t0.elapsed();
@@ -155,21 +160,24 @@ pub fn query(p: &Parsed) -> Result<(), String> {
 }
 
 /// `pit audience` — inverse search: who is the topic influential for?
-pub fn audience(p: &Parsed) -> Result<(), String> {
-    let engine = load(p)?;
+pub fn audience(p: &Parsed) -> Result<(), CliError> {
+    let dir = p.require("engine")?;
     let topic: u32 = p.num("topic", u32::MAX)?;
     if topic == u32::MAX {
         return Err("missing required flag --topic".into());
     }
+    let keyword = p.require("keyword")?;
+    let k: usize = p.num("k", 3)?;
+    let sample: usize = p.num("sample", 200)?;
+    p.finish()?;
+    let engine = load(dir)?;
     if topic as usize >= engine.space().topic_count() {
         return Err(format!(
             "topic {topic} out of range (space has {} topics)",
             engine.space().topic_count()
-        ));
+        )
+        .into());
     }
-    let keyword = p.require("keyword")?;
-    let k: usize = p.num("k", 3)?;
-    let sample: usize = p.num("sample", 200)?;
     let vocab = engine
         .vocab()
         .ok_or_else(|| "engine was built without a vocabulary".to_string())?;
@@ -203,8 +211,10 @@ pub fn audience(p: &Parsed) -> Result<(), String> {
 }
 
 /// `pit stats` — engine inventory.
-pub fn stats(p: &Parsed) -> Result<(), String> {
-    let engine = load(p)?;
+pub fn stats(p: &Parsed) -> Result<(), CliError> {
+    let dir = p.require("engine")?;
+    p.finish()?;
+    let engine = load(dir)?;
     let g = GraphStats::compute(engine.graph());
     println!(
         "graph:   |V|={}, |E|={}, degrees {}..{}, components {}",
@@ -242,18 +252,6 @@ fn server_config(p: &Parsed) -> Result<pit_server::ServerConfig, String> {
     use std::time::Duration;
 
     let defaults = pit_server::ServerConfig::default();
-    // Fault-injection flags (chaos drills and the integration tests): a
-    // user whose queries panic, and a user whose queries are slowed at
-    // every cancellation check.
-    let opt_user = |name: &str| -> Result<Option<u32>, String> {
-        match p.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("flag --{name}: cannot parse {v:?}")),
-        }
-    };
     Ok(pit_server::ServerConfig {
         workers: p.num("workers", defaults.workers)?,
         queue_depth: p.num("queue-depth", defaults.queue_depth)?,
@@ -267,14 +265,6 @@ fn server_config(p: &Parsed) -> Result<pit_server::ServerConfig, String> {
         // Event-loop sizing: a handful of I/O threads own every client
         // socket, so connection count never grows the thread count.
         io_threads: p.num("io-threads", defaults.io_threads)?,
-        cancel_check_tables: p.num("cancel-every", defaults.cancel_check_tables)?,
-        poison_user: opt_user("poison-user")?,
-        drag_user: opt_user("drag-user")?,
-        drag_per_check: Duration::from_micros(p.num("drag-us", 0u64)?),
-        // Fault injection for the reload integration tests: stretch every
-        // RELOAD/UPDATE so queries observably keep flowing on the old
-        // generation while the swap is in flight.
-        reload_drag: Duration::from_millis(p.num("reload-drag-ms", 0u64)?),
         // Observability: sample one query in N into the trace ring (0 =
         // off), and log any query slower than --slow-ms regardless.
         trace_sample: p.num("trace-sample", defaults.trace_sample)?,
@@ -296,15 +286,16 @@ fn server_config(p: &Parsed) -> Result<pit_server::ServerConfig, String> {
 /// carrying a shard manifest (`pit shard-split` output) comes up as that
 /// slice automatically: it answers the router's probes and refuses direct
 /// queries.
-pub fn serve(p: &Parsed) -> Result<(), String> {
+pub fn serve(p: &Parsed) -> Result<(), CliError> {
     use pit_server::ServeEngine as _;
     use std::sync::Arc;
 
     let dir = Path::new(p.require("engine")?);
-    let engine = pit_server::LocalServeEngine::load(dir)?;
-    let shard = engine.shard_spec();
     let addr = p.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let config = server_config(p)?;
+    p.finish()?;
+    let engine = pit_server::LocalServeEngine::load(dir)?;
+    let shard = engine.shard_spec();
     let state = Arc::new(pit_server::ServerState::with_engine(
         Arc::new(engine),
         config.clone(),
@@ -333,13 +324,14 @@ pub fn serve(p: &Parsed) -> Result<(), String> {
 /// `pit shard-split` — slice an engine snapshot into N shard snapshots
 /// under `--out/shard-<i>`, re-loading and verifying the partition (every
 /// user owned exactly once, owned Γ tables bit-identical, unowned empty).
-pub fn shard_split(p: &Parsed) -> Result<(), String> {
+pub fn shard_split(p: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(p.require("dir")?);
     let out = Path::new(p.require("out")?);
     let shards: u32 = p.num("shards", 0)?;
     if shards == 0 {
         return Err("missing required flag --shards N (N >= 1)".into());
     }
+    p.finish()?;
     eprintln!("splitting {} into {shards} shard snapshots…", dir.display());
     let t0 = std::time::Instant::now();
     let report = pit::shard::split_snapshot(dir, out, shards).map_err(|e| e.to_string())?;
@@ -361,13 +353,27 @@ pub fn shard_split(p: &Parsed) -> Result<(), String> {
 /// `--engine` naming any shard snapshot to replicate the metadata from),
 /// while `--in-process N` splits a full snapshot into N in-process shards —
 /// same code path, no sockets — for drills and small fleets.
-pub fn route(p: &Parsed) -> Result<(), String> {
+pub fn route(p: &Parsed) -> Result<(), CliError> {
     use pit_router::{RemoteTransport, ShardTransport, ShardedEngine};
     use std::sync::Arc;
 
     let addr = p.get("addr").unwrap_or("127.0.0.1:7979").to_string();
     let config = server_config(p)?;
-    let engine: Arc<dyn pit_server::ServeEngine> = if let Some(list) = p.get("shards") {
+    let shards = p.get("shards");
+    let in_process: u32 = match shards {
+        Some(_) => 0,
+        None => p.num("in-process", 0)?,
+    };
+    if shards.is_none() && in_process == 0 {
+        return Err(
+            "pass --shards host:port,… (with --engine META_DIR) for a remote fleet, \
+                    or --engine DIR --in-process N to split in-process"
+                .into(),
+        );
+    }
+    let dir = p.require("engine")?;
+    p.finish()?;
+    let engine: Arc<dyn pit_server::ServeEngine> = if let Some(list) = shards {
         let backends: Vec<Arc<dyn ShardTransport>> = list
             .split(',')
             .filter(|s| !s.is_empty())
@@ -382,19 +388,11 @@ pub fn route(p: &Parsed) -> Result<(), String> {
         // The metadata engine: any shard snapshot works — the graph, topic
         // space, vocabulary, and representative sets are replicated on
         // every slice, and the router never probes its own Γ tables.
-        let meta = Arc::new(load(p)?);
+        let meta = Arc::new(load(dir)?);
         Arc::new(ShardedEngine::assemble(meta, backends)?)
     } else {
-        let n: u32 = p.num("in-process", 0)?;
-        if n == 0 {
-            return Err(
-                "pass --shards host:port,… (with --engine META_DIR) for a remote fleet, \
-                 or --engine DIR --in-process N to split in-process"
-                    .into(),
-            );
-        }
-        let full = Arc::new(load(p)?);
-        Arc::new(ShardedEngine::split(&full, n))
+        let full = Arc::new(load(dir)?);
+        Arc::new(ShardedEngine::split(&full, in_process))
     };
     let shard_count = engine.shard_count();
     let state = Arc::new(pit_server::ServerState::with_engine(engine, config.clone()));
@@ -416,7 +414,7 @@ pub fn route(p: &Parsed) -> Result<(), String> {
 /// `pit client` — one request against a running `pit serve` (or, with
 /// `--via-router ADDR` in place of `--addr`, against a `pit route` daemon,
 /// confirming first that the target actually fronts a fleet).
-pub fn client(p: &Parsed) -> Result<(), String> {
+pub fn client(p: &Parsed) -> Result<(), CliError> {
     use pit_server::protocol;
 
     let via_router = p.get("via-router");
@@ -424,23 +422,6 @@ pub fn client(p: &Parsed) -> Result<(), String> {
         Some(router) => router,
         None => p.require("addr")?,
     };
-    if via_router.is_some() {
-        // A shard slice also answers SHARD (with its own index), so probe
-        // before querying: a query accidentally aimed at one slice would be
-        // refused with a confusing "query the router" error.
-        match exchange(addr, &protocol::Request::Shard)? {
-            protocol::Response::ShardInfo { count, gen, .. } if count >= 2 => {
-                eprintln!("via router at {addr}: {count} shards, generation {gen}");
-            }
-            protocol::Response::ShardInfo { count, gen, .. } => {
-                eprintln!(
-                    "note: {addr} answers for {count} shard (generation {gen}) — \
-                     a single node, not a fleet"
-                );
-            }
-            other => return Err(format!("unexpected SHARD reply {other:?}")),
-        }
-    }
     let op = p.get("op").unwrap_or("query");
     let request = match op {
         "ping" => protocol::Request::Ping,
@@ -467,46 +448,67 @@ pub fn client(p: &Parsed) -> Result<(), String> {
             }
         }
         other => {
-            return Err(format!(
-                "unknown op {other} (ping|stats|metrics|trace|shutdown|query)"
-            ))
+            return Err(
+                format!("unknown op {other} (ping|stats|metrics|trace|shutdown|query)").into(),
+            )
         }
     };
-    print_response(&exchange(addr, &request)?)
+    p.finish()?;
+    if via_router.is_some() {
+        // A shard slice also answers SHARD (with its own index), so probe
+        // before querying: a query accidentally aimed at one slice would be
+        // refused with a confusing "query the router" error.
+        match exchange(addr, &protocol::Request::Shard)? {
+            protocol::Response::ShardInfo { count, gen, .. } if count >= 2 => {
+                eprintln!("via router at {addr}: {count} shards, generation {gen}");
+            }
+            protocol::Response::ShardInfo { count, gen, .. } => {
+                eprintln!(
+                    "note: {addr} answers for {count} shard (generation {gen}) — \
+                     a single node, not a fleet"
+                );
+            }
+            other => return Err(format!("unexpected SHARD reply {other:?}").into()),
+        }
+    }
+    Ok(print_response(&exchange(addr, &request)?)?)
 }
 
 /// `pit trace` — dump a running daemon's slow-query log and sampled traces.
 /// Shorthand for `pit client --op trace`; see `pit serve --trace-sample` /
 /// `--slow-ms` for what gets captured.
-pub fn trace(p: &Parsed) -> Result<(), String> {
+pub fn trace(p: &Parsed) -> Result<(), CliError> {
     let addr = p.require("addr")?;
     let request = pit_server::protocol::Request::Trace {
         n: p.num("n", pit_server::protocol::DEFAULT_TRACE_DUMP)?,
     };
-    print_response(&exchange(addr, &request)?)
+    p.finish()?;
+    Ok(print_response(&exchange(addr, &request)?)?)
 }
 
 /// `pit reload` — ask a running daemon to swap in the snapshot at `--dir`.
 /// Blocks until the swap (or failure); queries keep being served on the old
 /// generation the whole time.
-pub fn reload(p: &Parsed) -> Result<(), String> {
+pub fn reload(p: &Parsed) -> Result<(), CliError> {
     let addr = p.require("addr")?;
     let dir = p.require("dir")?;
-    install(addr, Successor::Snapshot(dir.into()))
+    p.finish()?;
+    Ok(install(addr, Successor::Snapshot(dir.into()))?)
 }
 
 /// `pit update` — push an edge/assignment delta into a running daemon.
 /// Edges are `u:v:p` triples and assignments `u:t` pairs, comma-separated.
-pub fn update(p: &Parsed) -> Result<(), String> {
+pub fn update(p: &Parsed) -> Result<(), CliError> {
     let addr = p.require("addr")?;
     let delta = Delta {
         new_edges: parse_edges(p.get("edges").unwrap_or(""))?,
         new_assignments: parse_assignments(p.get("assign").unwrap_or(""))?,
     };
+    p.finish()?;
     if delta.is_empty() {
         return Err("empty delta: pass --edges u:v:p,… and/or --assign u:t,…".into());
     }
-    install(addr, Successor::Delta(delta))
+    Ok(install(addr, Successor::Delta(delta))?)
 }
 
 /// Ask the daemon at `addr` to build `next` and serve it at once.
@@ -659,7 +661,6 @@ fn print_response(response: &pit_server::protocol::Response) -> Result<(), Strin
     emit(&text)
 }
 
-fn load(p: &Parsed) -> Result<PitEngine, String> {
-    let dir = Path::new(p.require("engine")?);
-    store::load_engine(dir).map_err(|e| e.to_string())
+fn load(dir: &str) -> Result<PitEngine, String> {
+    store::load_engine(Path::new(dir)).map_err(|e| e.to_string())
 }

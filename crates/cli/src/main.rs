@@ -18,7 +18,8 @@
 //! pit update   --addr 127.0.0.1:7878 --edges 3:9:0.5 --assign 4:17
 //! ```
 
-use pit_cli::{args, commands};
+use pit_cli::args::{self, CliError};
+use pit_cli::commands;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -47,11 +48,19 @@ fn main() {
             usage();
             return;
         }
-        other => Err(format!("unknown subcommand {other}")),
+        other => Err(format!("unknown subcommand {other}").into()),
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    match result {
+        Ok(()) => {}
+        Err(CliError::Usage(e)) => {
+            eprintln!("error: {e}\n");
+            usage();
+            std::process::exit(2);
+        }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -9,21 +9,14 @@
 //! flush), the bounded warmup job repopulates the hottest key before the
 //! `GEN` reply lands.
 
+mod common;
+
+use common::{ask, connect, get_stat, query, scratch_dir, spawn_server, stat};
 use pit::{store, PitEngine, SummarizerKind};
 use pit_graph::NodeId;
-use pit_server::protocol::{read_frame, write_frame, Admin, Request, Response, Successor};
-use std::io::{BufRead, BufReader};
+use pit_server::protocol::{Admin, Request, Response, Successor};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pit-cache-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use std::path::Path;
 
 /// Two disconnected five-node ring islands with island-local topics and
 /// terms. Rings, so influence is mutual and every node scores its island's
@@ -58,64 +51,11 @@ fn build_island_engine(dir: &Path, weight: f64) -> PitEngine {
     engine
 }
 
-fn spawn_server(engine_dir: &Path, extra: &[&str]) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pit"));
-    cmd.args(["serve", "--engine"])
-        .arg(engine_dir)
-        .args(["--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    let mut child = cmd.spawn().expect("spawn pit serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("server printed a banner")
-        .expect("read banner");
-    let addr = banner
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-        .to_string();
-    std::thread::spawn(move || for _ in lines {});
-    (child, addr)
-}
-
-fn connect(addr: &str) -> TcpStream {
-    let c = TcpStream::connect(addr).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    c
-}
-
-fn ask(stream: &mut TcpStream, req: &Request) -> Response {
-    write_frame(stream, &req.render()).expect("send");
-    let text = read_frame(stream).expect("recv").expect("reply");
-    Response::parse(&text).expect("parse reply")
-}
-
-fn query(user: u32, kw: &str) -> Request {
-    Request::Query {
-        user,
-        k: 3,
-        keywords: vec![kw.to_string()],
-    }
-}
-
 fn topics(stream: &mut TcpStream, req: &Request) -> (Vec<(u32, f64)>, bool) {
     let Response::Topics { ranked, cached, .. } = ask(stream, req) else {
         panic!("expected topics for {req:?}");
     };
     (ranked, cached)
-}
-
-fn get_stat(pairs: &[(String, String)], name: &str) -> u64 {
-    pairs
-        .iter()
-        .find(|(k, _)| k == name)
-        .unwrap_or_else(|| panic!("missing stat {name}"))
-        .1
-        .parse()
-        .unwrap_or_else(|_| panic!("stat {name} not numeric"))
 }
 
 fn stats(stream: &mut TcpStream) -> Vec<(String, String)> {
@@ -125,7 +65,7 @@ fn stats(stream: &mut TcpStream) -> Vec<(String, String)> {
     pairs
 }
 
-fn offline_ranking(engine: &PitEngine, user: u32, kw: &str) -> Vec<(u32, f64)> {
+fn island_ranking(engine: &PitEngine, user: u32, kw: &str) -> Vec<(u32, f64)> {
     engine
         .search_keywords(NodeId(user), &[kw], 3)
         .expect("offline search")
@@ -141,8 +81,8 @@ fn update_spares_disjoint_entries_and_reload_warmup_repopulates_the_hottest() {
     let dir_b = scratch_dir("gen2");
     let engine_a = build_island_engine(&dir_a, 0.5);
     let engine_b = build_island_engine(&dir_b, 0.8);
-    let a_ranking = offline_ranking(&engine_a, 4, "island-a");
-    let b_ranking = offline_ranking(&engine_b, 4, "island-a");
+    let a_ranking = island_ranking(&engine_a, 4, "island-a");
+    let b_ranking = island_ranking(&engine_b, 4, "island-a");
     assert_ne!(a_ranking, b_ranking, "fixture engines must disagree");
 
     let (mut child, addr) = spawn_server(
@@ -162,8 +102,8 @@ fn update_spares_disjoint_entries_and_reload_warmup_repopulates_the_hottest() {
 
     // Warm both islands under generation 1; repeat island-A so it is the
     // hottest key in the frequency sketch.
-    let disjoint = query(4, "island-a");
-    let affected = query(9, "island-b");
+    let disjoint = query(4, 3, "island-a");
+    let affected = query(9, 3, "island-b");
     let (ranked, cached) = topics(&mut c, &disjoint);
     assert!(!cached);
     assert_eq!(ranked, a_ranking);
@@ -224,11 +164,7 @@ fn update_spares_disjoint_entries_and_reload_warmup_repopulates_the_hottest() {
         get_stat(&pairs, "cache_stale_full_reload") >= 1,
         "the RELOAD flush must be typed full-reload"
     );
-    let coverage: f64 = pairs
-        .iter()
-        .find(|(k, _)| k == "warmup_coverage")
-        .expect("missing stat warmup_coverage")
-        .1
+    let coverage: f64 = stat(&pairs, "warmup_coverage")
         .parse()
         .expect("coverage is fractional");
     assert!(coverage > 0.0, "last warmup run must report coverage");
@@ -246,7 +182,7 @@ fn warmup_disabled_by_default_keeps_post_reload_queries_cold() {
     let (mut child, addr) = spawn_server(&dir, &["--workers", "2", "--cache", "16"]);
     let mut c = connect(&addr);
 
-    let probe = query(0, "island-a");
+    let probe = query(0, 3, "island-a");
     let (_, cached) = topics(&mut c, &probe);
     assert!(!cached);
     let (_, cached) = topics(&mut c, &probe);

@@ -10,21 +10,14 @@
 //! of copying is what turns a reload from seconds into milliseconds.
 //! CI runs this as the `coldstart-integration` job.
 
-use pit::{store, PitEngine};
-use pit_server::protocol::{read_frame, write_frame, Admin, Request, Response, Successor};
-use pit_topics::SyntheticTopicConfig;
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pit-coldstart-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use common::{ask, connect, get_stat, query, scratch_dir, spawn_server, stat};
+use pit::{store, PitEngine};
+use pit_server::protocol::{Admin, Request, Response, Successor};
+use pit_topics::SyntheticTopicConfig;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Build an array-dominated engine snapshot: 4 000 nodes, large Γ, small
 /// topic space. Different seeds give different graphs so a RELOAD swap is
@@ -51,49 +44,6 @@ fn build_snapshot(dir: &Path, seed: u64) {
         .propagation(pit_index::PropIndexConfig::with_theta(0.01))
         .build_with_vocab(ds.graph, ds.space, Some(ds.vocab));
     store::save_engine(dir, &engine).expect("save engine");
-}
-
-fn spawn_server(engine_dir: &Path) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pit"));
-    cmd.args(["serve", "--engine"])
-        .arg(engine_dir)
-        .args(["--addr", "127.0.0.1:0", "--workers", "2"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    let mut child = cmd.spawn().expect("spawn pit serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("server printed a banner")
-        .expect("read banner");
-    let addr = banner
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-        .to_string();
-    std::thread::spawn(move || for _ in lines {});
-    (child, addr)
-}
-
-fn connect(addr: &str) -> TcpStream {
-    let c = TcpStream::connect(addr).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    c
-}
-
-fn ask(stream: &mut TcpStream, req: &Request) -> Response {
-    write_frame(stream, &req.render()).expect("send");
-    let text = read_frame(stream).expect("recv").expect("reply");
-    Response::parse(&text).expect("parse reply")
-}
-
-fn get_stat(pairs: &[(String, String)], name: &str) -> String {
-    pairs
-        .iter()
-        .find(|(k, _)| k == name)
-        .unwrap_or_else(|| panic!("missing stat {name}"))
-        .1
-        .clone()
 }
 
 /// The whole spawn-to-first-reply budget. Debug builds on a loaded CI core
@@ -127,16 +77,9 @@ fn flat_coldstart_drill() {
     // (checksummed mapped load), binds, and must answer a real query
     // inside the pinned budget.
     let spawn_started = Instant::now();
-    let (mut child, addr) = spawn_server(&dir_a);
+    let (mut child, addr) = spawn_server(&dir_a, &["--workers", "2"]);
     let mut c = connect(&addr);
-    let first = ask(
-        &mut c,
-        &Request::Query {
-            user: 7,
-            k: 5,
-            keywords: vec!["query-0".to_string()],
-        },
-    );
+    let first = ask(&mut c, &query(7, 5, "query-0"));
     let to_first_reply = spawn_started.elapsed();
     let Response::Topics { ranked, .. } = first else {
         panic!("first query failed: {first:?}");
@@ -151,7 +94,7 @@ fn flat_coldstart_drill() {
     let Response::Stats(pairs) = ask(&mut c, &Request::Stats) else {
         panic!("expected stats");
     };
-    assert_eq!(get_stat(&pairs, "snapshot_format"), "flat-mapped");
+    assert_eq!(stat(&pairs, "snapshot_format"), "flat-mapped");
     let Response::Metrics(body) = ask(&mut c, &Request::Metrics) else {
         panic!("expected metrics");
     };
@@ -184,24 +127,17 @@ fn flat_coldstart_drill() {
     let Response::Stats(pairs) = ask(&mut c, &Request::Stats) else {
         panic!("expected stats");
     };
-    assert_eq!(get_stat(&pairs, "reloads"), RELOADS.to_string());
-    assert_eq!(get_stat(&pairs, "reload_failures"), "0");
-    assert_eq!(get_stat(&pairs, "snapshot_format"), "flat-mapped");
-    let reload_p99_us: u64 = get_stat(&pairs, "reload_p99_us").parse().expect("numeric");
+    assert_eq!(get_stat(&pairs, "reloads"), RELOADS);
+    assert_eq!(get_stat(&pairs, "reload_failures"), 0);
+    assert_eq!(stat(&pairs, "snapshot_format"), "flat-mapped");
+    let reload_p99_us = get_stat(&pairs, "reload_p99_us");
     assert!(
         reload_p99_us.saturating_mul(10) <= owned_us,
         "flat reload p99 {reload_p99_us}µs not 10x under the owned baseline {owned_us}µs"
     );
 
     // Queries still answer after the drill, on the final generation.
-    let Response::Topics { ranked, .. } = ask(
-        &mut c,
-        &Request::Query {
-            user: 7,
-            k: 5,
-            keywords: vec!["query-0".to_string()],
-        },
-    ) else {
+    let Response::Topics { ranked, .. } = ask(&mut c, &query(7, 5, "query-0")) else {
         panic!("query after reload drill failed");
     };
     assert!(!ranked.is_empty());

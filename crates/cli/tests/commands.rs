@@ -78,19 +78,22 @@ fn full_lifecycle() {
     let err = commands::query(&argv(&format!(
         "query --engine {engine} --user 999999 --keywords query-0"
     )))
-    .unwrap_err();
+    .unwrap_err()
+    .to_string();
     assert!(err.contains("out of range"), "{err}");
 
     let err = commands::query(&argv(&format!(
         "query --engine {engine} --user 3 --keywords nope"
     )))
-    .unwrap_err();
+    .unwrap_err()
+    .to_string();
     assert!(err.contains("unknown keyword"), "{err}");
 
     let err = commands::audience(&argv(&format!(
         "audience --engine {engine} --topic 999999 --keyword query-0"
     )))
-    .unwrap_err();
+    .unwrap_err()
+    .to_string();
     assert!(err.contains("out of range"), "{err}");
 
     // RCL build variant over the same corpus.
@@ -115,7 +118,8 @@ fn generate_rejects_unknown_dataset() {
         "generate --dataset data_nope --out {}",
         dirs.corpus.display()
     )))
-    .unwrap_err();
+    .unwrap_err()
+    .to_string();
     assert!(err.contains("unknown dataset"), "{err}");
     assert!(err.contains("data_2k"), "should list available: {err}");
 }
@@ -127,14 +131,16 @@ fn build_rejects_unknown_summarizer_and_missing_corpus() {
         "build --corpus /nonexistent --out {} --summarizer magic",
         dirs.engine.display()
     )))
-    .unwrap_err();
+    .unwrap_err()
+    .to_string();
     assert!(err.contains("unknown summarizer"), "{err}");
 
     let err = commands::build(&argv(&format!(
         "build --corpus /nonexistent --out {}",
         dirs.engine.display()
     )))
-    .unwrap_err();
+    .unwrap_err()
+    .to_string();
     assert!(
         err.contains("No such file") || err.contains("os error"),
         "{err}"
@@ -150,10 +156,12 @@ fn read_commands_reject_missing_engine() {
     ] {
         let p = argv(cmd);
         let err = match p.command.as_str() {
-            "stats" => commands::stats(&p).unwrap_err(),
-            "query" => commands::query(&p).unwrap_err(),
-            _ => commands::audience(&p).unwrap_err(),
-        };
+            "stats" => commands::stats(&p),
+            "query" => commands::query(&p),
+            _ => commands::audience(&p),
+        }
+        .unwrap_err()
+        .to_string();
         assert!(
             err.contains("No such file")
                 || err.contains("os error")

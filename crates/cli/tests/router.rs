@@ -3,20 +3,23 @@
 //! them with `pit route`, and verify — over the wire — that the fleet
 //! answers bit-identically to the offline path, that a killed backend
 //! degrades to an honest `partial` reply instead of a hang, and that a
-//! dragged backend is cut off by the router's budget and reported
-//! `partial=<shard>:timeout` within the deadline.
+//! dragged backend is cut off by the router's I/O cap and reported
+//! `partial=<shard>:timeout` within the deadline. The dragged backend is an
+//! in-process server over the test-side [`common::Faulty`] engine; the
+//! router in front of it is still the real `pit route`.
 
-use pit::{store, PitEngine, SummarizerKind};
+mod common;
+
+use common::{ask, connect, query, spawn_daemon, Faults, Faulty};
+use pit::PitEngine;
 use pit_graph::NodeId;
 use pit_router::{LocalTransport, ShardError, ShardTransport, ShardedEngine};
 use pit_search_core::{CancelToken, NoTracer, SearchScratch};
 use pit_server::protocol::{read_frame, write_frame, Admin, ErrKind, Request, Response};
-use pit_server::{LocalServeEngine, ServeEngine};
+use pit_server::{LocalServeEngine, ServeEngine, ServerConfig, ServerState};
 use pit_topics::KeywordQuery;
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -33,7 +36,7 @@ struct Fixture {
     user: u32,
     dead: u32,
     /// A node owned by the dead shard that the query's expansion probes —
-    /// the target for `--drag-user` fault injection on that backend.
+    /// the probe the dragged backend stalls on.
     dead_probe: u32,
 }
 
@@ -48,25 +51,7 @@ fn build_fixture() -> Fixture {
     let src = root.join("full");
     std::fs::create_dir_all(&src).expect("create scratch dir");
 
-    let spec = pit_datasets::DatasetSpec {
-        name: "router-drill".to_string(),
-        nodes: 400,
-        kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 4 },
-        topics: pit_datasets::spec::scaled_topic_config(400, 17),
-        seed: 17,
-    };
-    let ds = pit_datasets::generate(&spec);
-    let engine = Arc::new(
-        PitEngine::builder()
-            .walk(pit_walk::WalkConfig::new(3, 8).with_seed(4))
-            .propagation(pit_index::PropIndexConfig::with_theta(0.02))
-            .summarizer(SummarizerKind::Lrw(pit_summarize::LrwConfig {
-                rep_count: Some(8),
-                ..pit_summarize::LrwConfig::default()
-            }))
-            .build_with_vocab(ds.graph, ds.space, Some(ds.vocab)),
-    );
-    store::save_engine(&src, &engine).expect("save engine");
+    let engine = Arc::new(common::build_engine(&src, 17));
 
     // Slice with the real binary — the drill exercises `pit shard-split`
     // exactly as an operator would run it.
@@ -253,29 +238,6 @@ fn find_cross_shard_query(engine: &Arc<PitEngine>) -> (u32, u32, u32) {
     panic!("fixture produced no query that degrades to a partial; regenerate it");
 }
 
-/// Spawn a `pit` daemon subcommand on an ephemeral port; return the child
-/// and the bound address parsed from the banner line.
-fn spawn_daemon(args: &[&str]) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pit"));
-    cmd.args(args)
-        .args(["--addr", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    let mut child = cmd.spawn().expect("spawn pit daemon");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("daemon printed a banner")
-        .expect("read banner");
-    let addr = banner
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-        .to_string();
-    std::thread::spawn(move || for _ in lines {});
-    (child, addr)
-}
-
 fn spawn_backend(fx: &Fixture, index: u32, extra: &[&str]) -> (Child, String) {
     let dir = fx.shards_dir.join(format!("shard-{index}"));
     let dir = dir.to_str().expect("utf-8 scratch path").to_string();
@@ -301,24 +263,8 @@ fn spawn_router(fx: &Fixture, backends: &[String], extra: &[&str]) -> (Child, St
     spawn_daemon(&args)
 }
 
-fn connect(addr: &str) -> TcpStream {
-    let c = TcpStream::connect(addr).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    c
-}
-
-fn ask(stream: &mut TcpStream, req: &Request) -> Response {
-    write_frame(stream, &req.render()).expect("send");
-    let text = read_frame(stream).expect("recv").expect("reply");
-    Response::parse(&text).expect("parse reply")
-}
-
 fn wire_query(user: u32) -> Request {
-    Request::Query {
-        user,
-        k: K,
-        keywords: vec![KEYWORD.to_string()],
-    }
+    query(user, K, KEYWORD)
 }
 
 fn shutdown(child: &mut Child, addr: &str) {
@@ -466,22 +412,30 @@ fn in_process_fleet_refuses_an_unknown_topic_and_keeps_taking_updates() {
 #[test]
 fn dragged_backend_is_cut_off_by_the_budget_and_reported_partial() {
     let fx = fixture();
-    let drag_user = fx.dead_probe.to_string();
     // The dead shard's backend sleeps 5s on any expansion touching the
     // probe we know this query sends it; the router's 1s per-call I/O cap
     // must cut it off and report `partial=<dead>:timeout` — the 10s query
     // budget never fires, so the rest of the fleet still answers in full.
-    let mut backends: Vec<(Child, String)> = (0..SHARDS)
-        .map(|i| {
-            let extra: &[&str] = if i == fx.dead {
-                &["--drag-user", drag_user.as_str(), "--drag-us", "5000000"]
-            } else {
-                &[]
-            };
-            spawn_backend(fx, i, extra)
-        })
-        .collect();
-    let addrs: Vec<String> = backends.iter().map(|(_, a)| a.clone()).collect();
+    let dead_dir = fx.shards_dir.join(format!("shard-{}", fx.dead));
+    let slice = LocalServeEngine::load(&dead_dir).expect("load the dead shard's slice");
+    let faults = Faults {
+        drag_user: Some(fx.dead_probe),
+        drag: Duration::from_secs(5),
+        ..Faults::default()
+    };
+    let dragged = pit_server::serve(
+        Arc::new(ServerState::with_engine(
+            Faulty::wrap(Arc::new(slice), faults),
+            ServerConfig::default(),
+        )),
+        "127.0.0.1:0",
+    )
+    .expect("bind the dragged backend");
+    let home = 1 - fx.dead;
+    let (mut live, live_addr) = spawn_backend(fx, home, &[]);
+    let mut addrs = vec![String::new(); SHARDS as usize];
+    addrs[home as usize] = live_addr.clone();
+    addrs[fx.dead as usize] = dragged.addr().to_string();
     let (mut router, router_addr) = spawn_router(
         fx,
         &addrs,
@@ -509,13 +463,8 @@ fn dragged_backend_is_cut_off_by_the_budget_and_reported_partial() {
     );
 
     shutdown(&mut router, &router_addr);
-    for (i, (child, addr)) in backends.iter_mut().enumerate() {
-        if i == fx.dead as usize {
-            // Its expand thread may still be mid-sleep; don't wait on drain.
-            child.kill().expect("kill dragged backend");
-            let _ = child.wait();
-        } else {
-            shutdown(child, addr);
-        }
-    }
+    shutdown(&mut live, &live_addr);
+    // Its worker may still be mid-drag; stop accepting and let the test
+    // process reap it rather than waiting out the sleep.
+    dragged.shutdown();
 }

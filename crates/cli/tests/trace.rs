@@ -1,73 +1,19 @@
-//! End-to-end observability test against the real binary: spawn `pit serve`
-//! with tracing on and a fault-injected slow user, run queries, and verify
-//! the slow one is findable — in the `TRACE` slow-query log with nonzero
+//! End-to-end observability test: an in-process daemon with tracing on and
+//! one slow user (dragged by the test-side [`common::Faulty`] engine). The
+//! slow query must be findable — in the `TRACE` slow-query log with nonzero
 //! expand-round and probed-table spans, and in the `METRICS` exposition's
-//! slow-query counter. Also drives the `pit trace` and
-//! `pit client --op metrics` subcommands the way an operator would.
+//! slow-query counter — and the real `pit trace` and
+//! `pit client --op metrics` subcommands must show it the way an operator
+//! would see it.
 
-use pit::{store, PitEngine, SummarizerKind};
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{ask, connect, query, tiny_engine, Faults, Faulty};
+use pit_server::protocol::{Request, Response};
+use pit_server::{serve, ServerConfig, ServerState};
+use std::process::Command;
+use std::sync::Arc;
 use std::time::Duration;
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pit-trace-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn build_engine(dir: &Path) {
-    let spec = pit_datasets::DatasetSpec {
-        name: "trace-it".to_string(),
-        nodes: 400,
-        kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 4 },
-        topics: pit_datasets::spec::scaled_topic_config(400, 17),
-        seed: 17,
-    };
-    let ds = pit_datasets::generate(&spec);
-    let engine = PitEngine::builder()
-        .walk(pit_walk::WalkConfig::new(3, 8).with_seed(4))
-        .propagation(pit_index::PropIndexConfig::with_theta(0.02))
-        .summarizer(SummarizerKind::Lrw(pit_summarize::LrwConfig {
-            rep_count: Some(8),
-            ..pit_summarize::LrwConfig::default()
-        }))
-        .build_with_vocab(ds.graph, ds.space, Some(ds.vocab));
-    store::save_engine(dir, &engine).expect("save engine");
-}
-
-fn spawn_server(engine_dir: &Path, extra: &[&str]) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pit"));
-    cmd.args(["serve", "--engine"])
-        .arg(engine_dir)
-        .args(["--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    let mut child = cmd.spawn().expect("spawn pit serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("server printed a banner")
-        .expect("read banner");
-    let addr = banner
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-        .to_string();
-    std::thread::spawn(move || for _ in lines {});
-    (child, addr)
-}
-
-fn ask(stream: &mut TcpStream, req: &Request) -> Response {
-    write_frame(stream, &req.render()).expect("send");
-    let text = read_frame(stream).expect("recv").expect("reply");
-    Response::parse(&text).expect("parse reply")
-}
 
 /// Run a `pit` subcommand against the daemon and return its stdout.
 fn pit_stdout(args: &[&str]) -> String {
@@ -103,44 +49,33 @@ fn field(line: &str, key: &str) -> u64 {
 
 #[test]
 fn slow_query_is_findable_in_trace_and_metrics() {
-    let dir = scratch_dir("slow");
-    build_engine(&dir);
-    // User 7 drags 2ms at every cancellation check (every table probe), so
-    // its query takes tens of ms against a 5ms slow threshold; sampling
-    // every query keeps the sampled ring busy too.
-    let (mut child, addr) = spawn_server(
-        &dir,
-        &[
-            "--workers",
-            "2",
-            "--trace-sample",
-            "1",
-            "--slow-ms",
-            "5",
-            "--drag-user",
-            "7",
-            "--drag-us",
-            "2000",
-            "--cancel-every",
-            "1",
-        ],
-    );
-    let mut c = TcpStream::connect(&addr).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // User 7's search sleeps 3ms at the start of every phase (gather, each
+    // EXPAND round, rank), so it takes at least 9ms against a 5ms slow
+    // threshold; sampling every query keeps the sampled ring busy too.
+    let faults = Faults {
+        drag_user: Some(7),
+        drag: Duration::from_millis(3),
+        ..Faults::default()
+    };
+    let state = Arc::new(ServerState::with_engine(
+        Faulty::local(Arc::new(tiny_engine(400, 17)), faults),
+        ServerConfig {
+            workers: 2,
+            trace_sample: 1,
+            slow_threshold: Duration::from_millis(5),
+            ..ServerConfig::default()
+        },
+    ));
+    let handle = serve(state, "127.0.0.1:0").expect("bind");
+    let addr = handle.addr().to_string();
+    let mut c = connect(&addr);
 
     // A fast control query, then the dragged one.
-    let fast = Request::Query {
-        user: 3,
-        k: 5,
-        keywords: vec!["query-0".to_string()],
-    };
-    let slow = Request::Query {
-        user: 7,
-        k: 5,
-        keywords: vec!["query-0".to_string()],
-    };
-    assert!(matches!(ask(&mut c, &fast), Response::Topics { .. }));
-    let Response::Topics { micros, .. } = ask(&mut c, &slow) else {
+    assert!(matches!(
+        ask(&mut c, &query(3, 5, "query-0")),
+        Response::Topics { .. }
+    ));
+    let Response::Topics { micros, .. } = ask(&mut c, &query(7, 5, "query-0")) else {
         panic!("expected topics for the dragged user");
     };
     assert!(
@@ -224,8 +159,6 @@ fn slow_query_is_findable_in_trace_and_metrics() {
         "pit client --op metrics is not a Prometheus exposition:\n{cli_metrics}"
     );
 
-    ask(&mut c, &Request::Shutdown);
-    let status = child.wait().expect("server exit");
-    assert!(status.success(), "server exited uncleanly: {status}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(ask(&mut c, &Request::Shutdown), Response::Bye);
+    handle.join();
 }

@@ -201,7 +201,7 @@ pub struct RemoteTransport {
     addr: String,
     conn: Mutex<Option<TcpStream>>,
     /// Per-call I/O cap. A query deadline can only *shorten* a call's wait,
-    /// never extend it past this — so one dragged shard costs the query at
+    /// never extend it past this — so one slow shard costs the query at
     /// most `io_timeout`, and the round degrades to an honest `partial`
     /// instead of the whole query dying at its budget.
     io_timeout: Duration,

@@ -25,9 +25,12 @@ use pit_server::{Admin, LocalServeEngine, ServeEngine, ServeError, ServeOutcome,
 use pit_summarize::RepresentativeSet;
 use pit_topics::{KeywordQuery, TopicSpaceBuilder};
 use pit_walk::{WalkConfig, WalkIndex, WalkIndexParts};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
+use support::scratch_dir;
+
+#[path = "../../server/tests/support/mod.rs"]
+mod support;
 
 /// The §5.2 worked-trace engine: Figure-3 graph, the paper's given rep
 /// sets (S1 = {1,3,5,12} w=0.25, S2 = {7,9,10} w=⅓, S3 = {2,4,6} w=⅓),
@@ -377,13 +380,6 @@ fn fleet_update_naming_an_unknown_topic_is_refused_not_a_panic() {
     // No shard moved: the generation vector the router holds still answers.
     let q = KeywordQuery::new(user(8), vec![TermId(0)]);
     assert_eq!(search(&router, &q, 1).ranked[0].0, 1);
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pit-router-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }
 
 #[test]

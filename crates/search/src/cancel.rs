@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a search stopped without producing a ranking.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,7 +73,6 @@ pub struct CancelToken {
     flag: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
     check_every: Option<u32>,
-    check_delay: Duration,
 }
 
 impl CancelToken {
@@ -108,15 +107,6 @@ impl CancelToken {
     #[must_use]
     pub fn with_check_every(mut self, tables: u32) -> Self {
         self.check_every = Some(tables.max(1));
-        self
-    }
-
-    /// Fault injection: sleep this long at every cancellation check. Used
-    /// by the serve tests to make a search deliberately slow and verify it
-    /// is abandoned mid-flight; never set on production paths.
-    #[must_use]
-    pub fn with_check_delay(mut self, delay: Duration) -> Self {
-        self.check_delay = delay;
         self
     }
 
@@ -158,31 +148,17 @@ impl CancelToken {
             None => false,
         }
     }
-
-    /// One cancellation checkpoint: applies the injected delay (if any),
-    /// then reports whether the search should stop.
-    pub fn checkpoint(&self) -> bool {
-        if !self.check_delay.is_zero() {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "test-only drag injection, inert in production where check_delay is \
-                          zero; exists so cancellation tests can force a mid-search deadline"
-            )]
-            std::thread::sleep(self.check_delay);
-        }
-        self.is_cancelled()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn none_never_cancels() {
         let t = CancelToken::none();
         assert!(!t.is_cancelled());
-        assert!(!t.checkpoint());
         t.cancel(); // no flag: a no-op, not a panic
         assert!(!t.is_cancelled());
     }

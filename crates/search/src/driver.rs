@@ -790,7 +790,7 @@ impl<'a> SearchDriver<'a> {
         self.until_check -= 1;
         if self.until_check == 0 {
             self.until_check = self.check_every;
-            if cancel.checkpoint() {
+            if cancel.is_cancelled() {
                 return Err(SearchError::Cancelled {
                     probed_tables: self.probed_tables,
                     expand_rounds: self.expand_rounds,

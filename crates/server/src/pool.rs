@@ -69,7 +69,7 @@ pub enum Job {
     /// A client `QUERY` (the expensive path).
     Query(QueryJob),
     /// One router `EXPAND` probe round — a pure read against the captured
-    /// generation. Runs on the pool so a dragged round blocks a worker,
+    /// generation. Runs on the pool so a slow round blocks a worker,
     /// never an I/O thread.
     Expand(ExpandJob),
 }
@@ -323,13 +323,6 @@ fn deliver(
 /// the captured engine is immutable, so the reply's generation tag is
 /// correct even if a swap lands mid-round.
 fn run_expand(job: ExpandJob, state: &ServerState) {
-    // Fault-injection hook for drills: dragging a configured user slows the
-    // shard that owns it, exactly like a hot neighbor would.
-    if let Some(dragged) = state.config().drag_user {
-        if job.probes.iter().any(|&(u, _)| u == dragged) {
-            std::thread::sleep(state.config().drag_per_check);
-        }
-    }
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         job.engine.engine.expand(&job.terms, &job.probes)
     }));

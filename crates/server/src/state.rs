@@ -65,23 +65,6 @@ pub struct ServerConfig {
     /// the client sockets; connections cost file descriptors, not threads,
     /// so this stays small no matter how many clients are connected.
     pub io_threads: usize,
-    /// Propagation tables the searcher probes between cancellation checks.
-    /// Smaller means a timed-out query releases its worker sooner, at the
-    /// cost of more frequent deadline reads.
-    pub cancel_check_tables: u32,
-    /// Fault injection (tests / chaos drills): queries from this user panic
-    /// inside the worker, exercising the catch-unwind + respawn path.
-    pub poison_user: Option<u32>,
-    /// Fault injection: queries from this user sleep [`Self::drag_per_check`]
-    /// at every cancellation check, making them deliberately slow so the
-    /// deadline/cancellation path is observable.
-    pub drag_user: Option<u32>,
-    /// Per-check injected delay for [`Self::drag_user`] queries.
-    pub drag_per_check: Duration,
-    /// Fault injection: stretch every `RELOAD`/`UPDATE` by this much
-    /// *before* the swap, so tests can prove queries keep flowing on the
-    /// old generation while a slow reload is in flight.
-    pub reload_drag: Duration,
     /// Trace one query in this many (0 disables sampling). Sampled queries
     /// record per-stage spans into the trace ring, readable via `TRACE`.
     pub trace_sample: u64,
@@ -113,11 +96,6 @@ impl Default for ServerConfig {
             query_budget: Duration::from_secs(5),
             io_timeout: Duration::from_secs(30),
             io_threads: 2,
-            cancel_check_tables: CancelToken::DEFAULT_CHECK_EVERY,
-            poison_user: None,
-            drag_user: None,
-            drag_per_check: Duration::ZERO,
-            reload_drag: Duration::ZERO,
             trace_sample: 0,
             slow_threshold: Duration::from_secs(1),
             trace_ring: 256,
@@ -266,9 +244,6 @@ impl ServerState {
             } if delta.is_empty() => Ok(Some(self.current().generation)),
             Admin::Install { next, commit } => {
                 let started = Instant::now();
-                if !self.config.reload_drag.is_zero() {
-                    std::thread::sleep(self.config.reload_drag);
-                }
                 let (engine, scope) = self.current().engine.successor(next)?;
                 let generation = if *commit {
                     Some(self.swap_engine(engine, scope.as_ref()))
@@ -347,12 +322,10 @@ impl ServerState {
         self.cache.contains(key, generation)
     }
 
-    /// A fresh cancellation token armed with `deadline` and the configured
-    /// check cadence — the single source of truth for one query's budget.
+    /// A fresh cancellation token armed with `deadline` — the single source
+    /// of truth for one query's budget.
     pub fn query_token(&self, deadline: Instant) -> CancelToken {
-        CancelToken::cancellable()
-            .with_deadline(deadline)
-            .with_check_every(self.config.cancel_check_tables)
+        CancelToken::cancellable().with_deadline(deadline)
     }
 
     /// Single-flight admission for a cold query under `generation`.
@@ -420,11 +393,6 @@ impl ServerState {
     /// # Errors
     /// Propagates the searcher's typed failures: cancellation (budget
     /// expiry) or an unindexed user.
-    ///
-    /// # Panics
-    /// Panics when the key matches the configured `poison_user` fault
-    /// injection — callers (the worker pool) isolate this via
-    /// `catch_unwind`.
     pub fn try_execute(
         &self,
         engine: &EngineGen,
@@ -433,24 +401,6 @@ impl ServerState {
         tracer: &mut dyn SearchTracer,
         scratch: &mut SearchScratch,
     ) -> Result<(RankedTopics, ServeOutcome), ServeError> {
-        if self.config.poison_user == Some(key.user) {
-            #[expect(
-                clippy::panic,
-                reason = "deliberate fault injection behind the poison-user test knob, used to \
-                          exercise the worker pool's catch_unwind/respawn path; unreachable for \
-                          real queries"
-            )]
-            {
-                panic!("poisoned query for user {} (fault injection)", key.user);
-            }
-        }
-        let dragged;
-        let cancel = if self.config.drag_user == Some(key.user) {
-            dragged = cancel.clone().with_check_delay(self.config.drag_per_check);
-            &dragged
-        } else {
-            cancel
-        };
         let query = KeywordQuery::new(NodeId(key.user), key.terms.clone());
         let outcome = engine
             .engine

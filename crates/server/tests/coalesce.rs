@@ -10,52 +10,16 @@
 //! cut against a real clock even when `io_timeout` is shorter than any
 //! internal poll period.
 
-use pit::{PitEngine, SummarizerKind};
-use pit_index::PropIndexConfig;
-use pit_server::protocol::{read_frame, write_frame, Request, Response};
+mod support;
+
+use pit_server::protocol::{read_frame, Admin, Request, Response, Successor};
 use pit_server::{serve, ServerConfig, ServerState};
-use pit_summarize::LrwConfig;
-use pit_walk::WalkConfig;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+use support::{ask, get_stat, offline_ranking, query, scratch_dir, tiny_engine, Faults, Faulty};
 
 const HERD: usize = 8;
-
-fn tiny_engine() -> PitEngine {
-    let spec = pit_datasets::DatasetSpec {
-        name: "coalesce-test".to_string(),
-        nodes: 300,
-        kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 4 },
-        topics: pit_datasets::spec::scaled_topic_config(300, 9),
-        seed: 9,
-    };
-    let ds = pit_datasets::generate(&spec);
-    PitEngine::builder()
-        .walk(WalkConfig::new(3, 8).with_seed(2))
-        .propagation(PropIndexConfig::with_theta(0.02))
-        .summarizer(SummarizerKind::Lrw(LrwConfig {
-            rep_count: Some(8),
-            ..LrwConfig::default()
-        }))
-        .build_with_vocab(ds.graph, ds.space, Some(ds.vocab))
-}
-
-fn ask(stream: &mut TcpStream, req: &Request) -> Response {
-    write_frame(stream, &req.render()).expect("send");
-    let text = read_frame(stream).expect("recv").expect("reply");
-    Response::parse(&text).expect("parse reply")
-}
-
-fn get_stat(pairs: &[(String, String)], name: &str) -> u64 {
-    pairs
-        .iter()
-        .find(|(k, _)| k == name)
-        .unwrap_or_else(|| panic!("missing stat {name}"))
-        .1
-        .parse()
-        .unwrap_or_else(|_| panic!("stat {name} not numeric"))
-}
 
 /// Fire `HERD` identical cold queries from separate connections through a
 /// barrier and return every reply.
@@ -80,51 +44,54 @@ fn herd(addr: std::net::SocketAddr, query: &Request) -> Vec<Response> {
         .collect()
 }
 
+/// Every herd reply is the same bits — same ranking, same service micros
+/// (the flight's one execution), same `cached=false` — and the ranking is
+/// the offline one.
+fn assert_one_cold_answer(replies: &[Response], offline: &[(u32, f64)], label: &str) {
+    for reply in replies {
+        assert_eq!(
+            reply, &replies[0],
+            "{label}: coalesced replies must be bit-identical"
+        );
+        let Response::Topics { ranked, cached, .. } = reply else {
+            panic!("{label}: expected topics, got {reply:?}");
+        };
+        assert!(!cached, "{label}: the herd must be cold");
+        assert_eq!(ranked, offline, "{label}: ranking diverged from offline");
+    }
+}
+
 #[test]
 fn herd_of_identical_cold_queries_executes_exactly_once() {
-    // The dragged user makes the single execution slow enough (~100 ms per
-    // probed table) that every joiner registers while it is in flight.
-    let engine = Arc::new(tiny_engine());
-    let state = Arc::new(ServerState::new(
-        Arc::clone(&engine),
+    // The dragged user makes the single execution slow enough (100 ms per
+    // search phase) that every joiner registers while it is in flight. The
+    // drag rides through RELOAD (the wrapper wraps its successors), so the
+    // post-reload herd — every cached ranking stale at once — coalesces
+    // the same way.
+    let engine = Arc::new(tiny_engine(300, 9));
+    let next = tiny_engine(300, 10);
+    let gen1 = offline_ranking(&engine, 7, 5);
+    let gen2 = offline_ranking(&next, 7, 5);
+    assert_ne!(gen1, gen2, "fixture engines must disagree");
+    let dir = scratch_dir("coalesce-gen2");
+    pit::store::save_engine(&dir, &next).expect("save gen-2 snapshot");
+    let faults = Faults {
+        drag_user: Some(7),
+        drag: Duration::from_millis(100),
+        ..Faults::default()
+    };
+    let state = Arc::new(ServerState::with_engine(
+        Faulty::local(engine, faults),
         ServerConfig {
             workers: 2,
             cache_capacity: 16,
             query_budget: Duration::from_secs(30),
-            cancel_check_tables: 1,
-            drag_user: Some(7),
-            drag_per_check: Duration::from_millis(100),
             ..ServerConfig::default()
         },
     ));
     let handle = serve(Arc::clone(&state), "127.0.0.1:0").expect("bind");
-    let query = Request::Query {
-        user: 7,
-        k: 5,
-        keywords: vec!["query-0".to_string()],
-    };
-    let replies = herd(handle.addr(), &query);
-
-    // Every reply is the same bits: same ranking, same service micros (the
-    // flight's one execution), same cached=false.
-    let offline: Vec<(u32, f64)> = engine
-        .search_keywords(pit_graph::NodeId(7), &["query-0"], 5)
-        .unwrap()
-        .top_k
-        .iter()
-        .map(|s| (s.topic.0, s.score))
-        .collect();
-    for reply in &replies {
-        assert_eq!(
-            reply, &replies[0],
-            "coalesced replies must be bit-identical"
-        );
-        let Response::Topics { ranked, cached, .. } = reply else {
-            panic!("expected topics, got {reply:?}");
-        };
-        assert!(!cached);
-        assert_eq!(ranked, &offline);
-    }
+    let query = query(7, 5, "query-0");
+    assert_one_cold_answer(&herd(handle.addr(), &query), &gen1, "gen 1");
 
     let mut c = TcpStream::connect(handle.addr()).expect("connect");
     let Response::Stats(pairs) = ask(&mut c, &Request::Stats) else {
@@ -152,8 +119,28 @@ fn herd_of_identical_cold_queries_executes_exactly_once() {
         Response::Topics { cached: true, .. }
     ));
 
+    // Swap generations: the moment the whole cache goes stale at once.
+    let reload = Request::Admin(Admin::Install {
+        next: Successor::Snapshot(dir.clone()),
+        commit: true,
+    });
+    assert_eq!(ask(&mut c, &reload), Response::Generation(2));
+    assert_one_cold_answer(&herd(handle.addr(), &query), &gen2, "gen 2");
+
+    let Response::Stats(pairs) = ask(&mut c, &Request::Stats) else {
+        panic!("expected stats");
+    };
+    assert_eq!(
+        get_stat(&pairs, "inflight_executions"),
+        2,
+        "each generation's herd must share exactly one execution"
+    );
+    assert_eq!(get_stat(&pairs, "coalesced_queries"), 2 * (HERD - 1) as u64);
+    assert_eq!(get_stat(&pairs, "queries"), 2 * HERD as u64 + 1);
+
     ask(&mut c, &Request::Shutdown);
     handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -163,29 +150,24 @@ fn total_wall_wait_honors_the_budget() {
     // top. The deadline is now anchored at request receipt — the client's
     // total wall wait stays within the budget (plus scheduling slack) even
     // though the dragged search would run for multiple seconds.
-    let state = Arc::new(ServerState::new(
-        Arc::new(tiny_engine()),
+    let faults = Faults {
+        drag_user: Some(7),
+        drag: Duration::from_secs(1),
+        ..Faults::default()
+    };
+    let state = Arc::new(ServerState::with_engine(
+        Faulty::local(Arc::new(tiny_engine(300, 9)), faults),
         ServerConfig {
             workers: 1,
             cache_capacity: 0,
             query_budget: Duration::from_millis(150),
-            cancel_check_tables: 1,
-            drag_user: Some(7),
-            drag_per_check: Duration::from_secs(1),
             ..ServerConfig::default()
         },
     ));
     let handle = serve(Arc::clone(&state), "127.0.0.1:0").expect("bind");
     let mut c = TcpStream::connect(handle.addr()).expect("connect");
     let started = Instant::now();
-    let reply = ask(
-        &mut c,
-        &Request::Query {
-            user: 7,
-            k: 3,
-            keywords: vec!["query-0".to_string()],
-        },
-    );
+    let reply = ask(&mut c, &query(7, 3, "query-0"));
     let waited = started.elapsed();
     assert!(
         matches!(&reply, Response::Err(reason) if reason.to_string() == "timeout"),
@@ -209,7 +191,7 @@ fn idle_cut_tracks_a_real_deadline_even_below_the_poll_period() {
     // `Instant` comparison.
     let io_timeout = Duration::from_millis(80);
     let state = Arc::new(ServerState::new(
-        Arc::new(tiny_engine()),
+        Arc::new(tiny_engine(300, 9)),
         ServerConfig {
             workers: 1,
             io_timeout,

@@ -15,16 +15,15 @@
 //! and every histogram's cumulative buckets are monotone and consistent
 //! with its `_count`.
 
-use pit::{PitEngine, SummarizerKind};
-use pit_index::PropIndexConfig;
+mod support;
+
 use pit_server::cache::StaleReason;
 use pit_server::protocol::{read_frame, write_frame, ErrKind, Request, Response};
 use pit_server::{serve, ServerConfig, ServerState};
-use pit_summarize::LrwConfig;
-use pit_walk::WalkConfig;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
+use support::{ask, tiny_engine};
 
 /// Every key the `STATS` reply carries, in reply order.
 const STATS_KEYS: &[&str] = &[
@@ -151,35 +150,10 @@ const METRIC_NAMES: &[(&str, &str)] = &[
     ("pit_reload_bytes_mapped", "gauge"),
 ];
 
-fn tiny_engine() -> PitEngine {
-    let spec = pit_datasets::DatasetSpec {
-        name: "golden-wire".to_string(),
-        nodes: 250,
-        kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 4 },
-        topics: pit_datasets::spec::scaled_topic_config(250, 17),
-        seed: 17,
-    };
-    let ds = pit_datasets::generate(&spec);
-    PitEngine::builder()
-        .walk(WalkConfig::new(3, 8).with_seed(2))
-        .propagation(PropIndexConfig::with_theta(0.02))
-        .summarizer(SummarizerKind::Lrw(LrwConfig {
-            rep_count: Some(8),
-            ..LrwConfig::default()
-        }))
-        .build_with_vocab(ds.graph, ds.space, Some(ds.vocab))
-}
-
-fn ask(stream: &mut TcpStream, req: &Request) -> Response {
-    write_frame(stream, &req.render()).expect("send");
-    let text = read_frame(stream).expect("recv").expect("reply");
-    Response::parse(&text).expect("parse reply")
-}
-
 #[test]
 fn stats_and_metrics_wire_replies_match_the_golden_registry() {
     let state = Arc::new(ServerState::new(
-        Arc::new(tiny_engine()),
+        Arc::new(tiny_engine(250, 17)),
         ServerConfig {
             workers: 2,
             cache_capacity: 16,

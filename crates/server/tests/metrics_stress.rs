@@ -6,13 +6,12 @@
 
 #![allow(clippy::disallowed_types)]
 
-use pit::{Delta, PitEngine, SummarizerKind};
+mod support;
+
+use pit::Delta;
 use pit_graph::NodeId;
-use pit_index::PropIndexConfig;
 use pit_search_core::{CancelToken, NoTracer, SearchScratch};
 use pit_server::{Admin, LatencyHistogram, ServerConfig, ServerState, Successor};
-use pit_summarize::LrwConfig;
-use pit_walk::WalkConfig;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -94,22 +93,7 @@ fn histogram_survives_single_bucket_contention() {
 /// A server state over a 250-user engine, for the tests that need the
 /// rendered replies rather than a bare histogram.
 fn tiny_state() -> Arc<ServerState> {
-    let spec = pit_datasets::DatasetSpec {
-        name: "metrics-stress".to_string(),
-        nodes: 250,
-        kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 4 },
-        topics: pit_datasets::spec::scaled_topic_config(250, 17),
-        seed: 17,
-    };
-    let ds = pit_datasets::generate(&spec);
-    let engine = PitEngine::builder()
-        .walk(WalkConfig::new(3, 8).with_seed(2))
-        .propagation(PropIndexConfig::with_theta(0.02))
-        .summarizer(SummarizerKind::Lrw(LrwConfig {
-            rep_count: Some(8),
-            ..LrwConfig::default()
-        }))
-        .build_with_vocab(ds.graph, ds.space, Some(ds.vocab));
+    let engine = support::tiny_engine(250, 17);
     let config = ServerConfig {
         cache_capacity: 4096,
         ..ServerConfig::default()

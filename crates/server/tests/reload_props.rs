@@ -16,14 +16,17 @@
 //! The model predicts every reply and counter, and after every step a
 //! `QUERY` must match `PitEngine::search` on the model's engine bit for bit.
 
+mod support;
+
 use pit::{Delta, PitEngine, SummarizerKind};
 use pit_graph::{NodeId, TopicId};
-use pit_server::protocol::{read_frame, write_frame, Admin, ErrKind, Request, Response, Successor};
+use pit_server::protocol::{Admin, ErrKind, Request, Response, Successor};
 use pit_server::{serve, ServerConfig, ServerState};
 use proptest::prelude::*;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
+use support::{ask, offline_ranking};
 
 const NODES: usize = 250;
 const DATA_SEED: u64 = 31;
@@ -98,22 +101,6 @@ fn sanitize(
             .map(|&(u, t)| (NodeId(u % n), TopicId(t % topics)))
             .collect(),
     }
-}
-
-fn ask(stream: &mut TcpStream, req: &Request) -> Response {
-    write_frame(stream, &req.render()).expect("send");
-    let text = read_frame(stream).expect("recv").expect("reply");
-    Response::parse(&text).expect("parse reply")
-}
-
-fn offline_ranking(engine: &PitEngine, user: u32, k: usize) -> Vec<(u32, f64)> {
-    engine
-        .search_keywords(NodeId(user), &["query-0"], k)
-        .expect("offline search")
-        .top_k
-        .iter()
-        .map(|s| (s.topic.0, s.score))
-        .collect()
 }
 
 /// Two loadable snapshots — the base engine and the same corpus under
