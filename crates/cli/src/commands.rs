@@ -272,13 +272,6 @@ fn server_config(p: &Parsed) -> Result<pit_server::ServerConfig, String> {
             p.num("slow-ms", defaults.slow_threshold.as_millis() as u64)?,
         ),
         trace_ring: p.num("trace-ring", defaults.trace_ring)?,
-        // Post-reload cache warmup: replay the hottest keys after a
-        // blanket-flush swap, for at most --warmup-budget-ms (0 = off).
-        warmup_budget: Duration::from_millis(p.num(
-            "warmup-budget-ms",
-            defaults.warmup_budget.as_millis() as u64,
-        )?),
-        warmup_top: p.num("warmup-top", defaults.warmup_top)?,
     })
 }
 

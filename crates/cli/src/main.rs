@@ -80,7 +80,6 @@ fn usage() {
          \x20          [--cache N] [--budget-ms MS] [--io-timeout-ms MS]   run the query daemon\n\
          \x20          [--io-threads N]                        event-loop front-end sizing\n\
          \x20          [--trace-sample N] [--slow-ms MS] [--trace-ring N]  per-query tracing\n\
-         \x20          [--warmup-budget-ms MS] [--warmup-top N]  post-reload cache warmup\n\
          \x20          (a snapshot with a shard manifest comes up as that slice)\n\
          \x20 shard-split --dir DIR --out DIR --shards N   slice a snapshot into N shard\n\
          \x20          snapshots under out/shard-<i>, verifying the user partition\n\

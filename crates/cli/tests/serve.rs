@@ -217,19 +217,24 @@ fn serve_sheds_or_answers_under_tiny_queue() {
 
 #[test]
 fn serve_refuses_a_flag_it_does_not_read() {
-    // The fault-injection flags are gone from the binary. A leftover chaos
-    // script passing one must fail loudly, not serve without the fault.
+    // The fault-injection and warmup flags are gone from the binary. A
+    // leftover script passing one must fail loudly, not serve without it.
     let dir = scratch_dir("unread-flag");
     build_engine(&dir, 17);
-    let out = Command::new(env!("CARGO_BIN_EXE_pit"))
-        .args(["serve", "--engine"])
-        .arg(&dir)
-        .args(["--addr", "127.0.0.1:0", "--drag-user", "7"])
-        .output()
-        .expect("run pit serve");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--drag-user"), "stderr: {stderr}");
-    assert!(out.stdout.is_empty(), "pit serve bound before refusing");
+    for (flag, value) in [("--drag-user", "7"), ("--warmup-budget-ms", "10")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pit"))
+            .args(["serve", "--engine"])
+            .arg(&dir)
+            .args(["--addr", "127.0.0.1:0", flag, value])
+            .output()
+            .expect("run pit serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");
+        assert!(stderr.contains(flag), "stderr: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "pit serve bound before refusing {flag}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -39,11 +39,6 @@ impl Counter {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Overwrite a gauge (last-run style gauges like the warmup coverage).
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

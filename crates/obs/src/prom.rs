@@ -41,14 +41,6 @@ pub fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
     let _ = writeln!(out, "{name} {value}");
 }
 
-/// Append one fractional `gauge` metric (ratios such as a warmup coverage)
-/// with its `# TYPE` line, rendered with four decimal places.
-pub fn gauge_f64(out: &mut String, name: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value:.4}");
-}
-
 /// Append one `histogram` metric from per-bucket counts in the workspace's
 /// power-of-two layout, with cumulative `_bucket` / `le` lines, `_sum`,
 /// and `_count`.
@@ -165,14 +157,6 @@ mod tests {
             type_line_names(&out),
             vec!["pit_cache_stale_by_reason_total"]
         );
-    }
-
-    #[test]
-    fn fractional_gauge_renders_four_decimals() {
-        let mut out = String::new();
-        gauge_f64(&mut out, "pit_warmup_coverage", "Coverage.", 0.5);
-        assert!(out.contains("# TYPE pit_warmup_coverage gauge\n"));
-        assert!(out.contains("pit_warmup_coverage 0.5000\n"), "{out}");
     }
 
     #[test]

@@ -352,7 +352,17 @@ impl ServeEngine for ShardedEngine {
     fn successor(
         &self,
         next: &Successor,
+        commit: bool,
     ) -> Result<(Arc<dyn ServeEngine>, Option<DeltaScope>), WireError> {
+        // Building a router's successor commits the fleet, so it cannot be
+        // staged: a PREPARE here would leave the backends on a generation
+        // the serving metadata does not describe. Refused before any shard
+        // is touched; like EXPAND, the staged verbs target a backend.
+        if !commit {
+            return Err(ErrKind::ReloadFailed.because(
+                "PREPARE targets a shard backend; a router installs with RELOAD or UPDATE",
+            ));
+        }
         // The router's own next metadata first: cheap, local, and it refuses
         // a bad snapshot or delta before any shard is touched. A split root
         // holds one snapshot per shard, `<dir>/shard-<i>`, any of which

@@ -326,7 +326,7 @@ fn stale_generation_vector_refuses_to_answer() {
         new_assignments: vec![(user(2), TopicId(0))],
     };
     let (fresh, _scope) = stale
-        .successor(&Successor::Delta(delta.clone()))
+        .successor(&Successor::Delta(delta.clone()), true)
         .expect("fleet update");
 
     // The fresh router answers, bit-identical to a single node over the
@@ -370,7 +370,7 @@ fn fleet_update_naming_an_unknown_topic_is_refused_not_a_panic() {
         new_edges: Vec::new(),
         new_assignments: vec![(user(2), TopicId(9999))],
     };
-    let Err(err) = router.successor(&Successor::Delta(bad)) else {
+    let Err(err) = router.successor(&Successor::Delta(bad), true) else {
         panic!("a delta naming an unknown topic must fail");
     };
     assert_eq!(
@@ -380,6 +380,45 @@ fn fleet_update_naming_an_unknown_topic_is_refused_not_a_panic() {
     // No shard moved: the generation vector the router holds still answers.
     let q = KeywordQuery::new(user(8), vec![TermId(0)]);
     assert_eq!(search(&router, &q, 1).ranked[0].0, 1);
+}
+
+#[test]
+fn router_refuses_to_stage_and_leaves_every_backend_untouched() {
+    // Building a router's successor commits its fleet, so PREPARE must be
+    // refused before any shard moves — otherwise a second PREPARE would leave
+    // the shards on a generation the router's metadata does not describe.
+    let engine = Arc::new(fig3_engine());
+    let root = scratch_dir("stage");
+    let src = root.join("full");
+    pit::store::save_engine(&src, &engine).expect("save snapshot");
+    split_snapshot(&src, &root.join("split"), 2).expect("split snapshot");
+    let shards: Vec<Arc<dyn ShardTransport>> = (0..2u32)
+        .map(|i| local_shard(&engine, ShardSpec::new(i, 2)))
+        .collect();
+    let router = ShardedEngine::assemble(Arc::clone(&engine), shards.clone()).expect("assemble");
+    let delta = Delta {
+        new_edges: Vec::new(),
+        new_assignments: vec![(user(2), TopicId(0))],
+    };
+    for next in [
+        Successor::Delta(delta),
+        Successor::Snapshot(root.join("split")),
+    ] {
+        let Err(err) = router.successor(&next, false) else {
+            panic!("a router must refuse to stage {next:?}");
+        };
+        assert_eq!(
+            err.to_string(),
+            "reload-failed: PREPARE targets a shard backend; a router installs with RELOAD or UPDATE"
+        );
+    }
+    for t in &shards {
+        assert_eq!(t.shard_info().expect("shard info").2, 1, "a backend moved");
+    }
+    // The generation vector still matches the fleet: the router answers.
+    let q = KeywordQuery::new(user(8), vec![TermId(0)]);
+    assert_eq!(search(&router, &q, 1).ranked[0].0, 1);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -394,7 +433,7 @@ fn fleet_reload_from_a_split_snapshot_serves_the_new_generation() {
     let old = ShardedEngine::split(&engine, 2);
     let q = KeywordQuery::new(user(8), vec![TermId(0)]);
     let (next, _scope) = old
-        .successor(&Successor::Snapshot(root.join("split")))
+        .successor(&Successor::Snapshot(root.join("split")), true)
         .expect("fleet reload");
     let single = LocalServeEngine::full(Arc::clone(&engine));
     assert_bit_identical(
@@ -429,7 +468,7 @@ fn fleet_reload_aborts_whole_when_one_shard_rejects() {
 
     let router = ShardedEngine::split(&engine, 2);
     let q = KeywordQuery::new(user(8), vec![TermId(0)]);
-    let Err(err) = router.successor(&Successor::Snapshot(root.join("split"))) else {
+    let Err(err) = router.successor(&Successor::Snapshot(root.join("split")), true) else {
         panic!("reload with a missing shard snapshot must fail");
     };
     let err = err.to_string();

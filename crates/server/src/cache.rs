@@ -17,9 +17,6 @@
 //! Lookups additionally keep a generation check as a backstop (a worker
 //! racing a swap can insert under the old generation after the sweep ran),
 //! so no post-swap response can ever be served from a pre-swap ranking.
-//!
-//! The cache also keeps a small space-saving frequency sketch of looked-up
-//! keys; [`QueryCache::hottest`] feeds the post-reload warmup job.
 
 use crate::metrics::CacheCounters;
 use crate::protocol::wire_enum;
@@ -31,7 +28,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Cache key: the complete identity of a query.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct QueryKey {
     /// Querying user.
     pub user: u32,
@@ -72,10 +69,6 @@ wire_enum! {
 
 const NIL: usize = usize::MAX;
 
-/// Keys tracked by the hot-key frequency sketch (space-saving: bounded
-/// memory, over-estimates only — good enough to pick warmup candidates).
-const HOT_TRACKED: usize = 64;
-
 struct Slot<V> {
     key: QueryKey,
     value: V,
@@ -89,52 +82,12 @@ struct Slot<V> {
     next: usize,
 }
 
-/// Space-saving heavy-hitters sketch over query keys. Bounded at
-/// [`HOT_TRACKED`] entries: an unseen key at capacity replaces the
-/// minimum-count entry and inherits its count (+1), so frequent keys always
-/// surface even though counts over-estimate. Ties break on key order for
-/// determinism.
-struct HotKeys {
-    counts: HashMap<QueryKey, u64>,
-}
-
-impl HotKeys {
-    fn record(&mut self, key: &QueryKey) {
-        if let Some(c) = self.counts.get_mut(key) {
-            *c += 1;
-            return;
-        }
-        if self.counts.len() < HOT_TRACKED {
-            self.counts.insert(key.clone(), 1);
-            return;
-        }
-        let victim = self
-            .counts
-            .iter()
-            .min_by(|(ka, ca), (kb, cb)| ca.cmp(cb).then_with(|| ka.cmp(kb)))
-            .map(|(k, c)| (k.clone(), *c));
-        if let Some((victim, floor)) = victim {
-            self.counts.remove(&victim);
-            self.counts.insert(key.clone(), floor + 1);
-        }
-    }
-
-    /// The `n` highest-count keys, hottest first; ties break on key order.
-    fn top(&self, n: usize) -> Vec<QueryKey> {
-        let mut ranked: Vec<(&QueryKey, u64)> = self.counts.iter().map(|(k, c)| (k, *c)).collect();
-        ranked.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then_with(|| ka.cmp(kb)));
-        ranked.into_iter().take(n).map(|(k, _)| k.clone()).collect()
-    }
-}
-
 struct Inner<V> {
     map: HashMap<QueryKey, usize>,
     slots: Vec<Slot<V>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
-    /// Frequency sketch of looked-up keys, for post-reload warmup.
-    hot: HotKeys,
     /// Slots a sweep marked stale — reclamation candidates for at-capacity
     /// inserts. Entries are hints, not truth: a slot may have been lazily
     /// evicted or overwritten since, so candidates are re-validated when
@@ -161,9 +114,6 @@ impl<V: Clone> QueryCache<V> {
                     free: Vec::new(),
                     head: NIL,
                     tail: NIL,
-                    hot: HotKeys {
-                        counts: HashMap::with_capacity(HOT_TRACKED),
-                    },
                     stale_slots: Vec::new(),
                 },
             ),
@@ -177,15 +127,12 @@ impl<V: Clone> QueryCache<V> {
     /// computed under a different generation (the backstop for inserts
     /// racing a swap) — is a miss: it is evicted on the spot (counted in
     /// `cache_stale_evictions`) so one stale ranking is never served twice.
-    /// Every lookup also feeds the hot-key sketch behind
-    /// [`QueryCache::hottest`].
     pub fn get(&self, key: &QueryKey, generation: u64) -> Option<V> {
         if self.capacity == 0 {
             self.counters.misses.inc();
             return None;
         }
         let mut inner = self.inner.lock();
-        inner.hot.record(key);
         let Some(&slot) = inner.map.get(key) else {
             self.counters.misses.inc();
             return None;
@@ -200,19 +147,6 @@ impl<V: Clone> QueryCache<V> {
         inner.push_front(slot);
         self.counters.hits.inc();
         Some(inner.slots[slot].value.clone())
-    }
-
-    /// Whether a live entry for `key` exists under `generation`, without
-    /// touching counters, recency, or the hot-key sketch. The warmup job
-    /// uses this to skip keys an earlier client already repopulated.
-    pub fn contains(&self, key: &QueryKey, generation: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let inner = self.inner.lock();
-        inner.map.get(key).is_some_and(|&slot| {
-            inner.slots[slot].stale.is_none() && inner.slots[slot].generation == generation
-        })
     }
 
     /// Insert `key → value` as computed under engine `generation`. At
@@ -334,11 +268,6 @@ impl<V: Clone> QueryCache<V> {
                 }
             }
         }
-    }
-
-    /// The `n` most-frequently-looked-up keys, hottest first.
-    pub fn hottest(&self, n: usize) -> Vec<QueryKey> {
-        self.inner.lock().hot.top(n)
     }
 
     /// The hit/miss/eviction/staleness counters (entries marked stale are
@@ -831,40 +760,6 @@ mod tests {
         assert_eq!(cache.get(&QueryKey::new(1, 10, vec![TermId(2)]), 2), None);
         assert_eq!(cache.get(&QueryKey::new(2, 10, vec![TermId(3)]), 2), None);
         assert_eq!(cache.get(&QueryKey::new(4, 10, vec![TermId(9)]), 2), None);
-    }
-
-    #[test]
-    fn hottest_ranks_frequent_keys_first() {
-        let cache: QueryCache<u64> = QueryCache::new(4);
-        for _ in 0..5 {
-            let _ = cache.get(&key(1), G);
-        }
-        for _ in 0..3 {
-            let _ = cache.get(&key(2), G);
-        }
-        let _ = cache.get(&key(3), G);
-        assert_eq!(cache.hottest(2), vec![key(1), key(2)]);
-        assert_eq!(cache.hottest(10).len(), 3);
-        // Zero-capacity caches never track (caching is disabled wholesale).
-        let off: QueryCache<u64> = QueryCache::new(0);
-        let _ = off.get(&key(1), G);
-        assert!(off.hottest(4).is_empty());
-    }
-
-    #[test]
-    fn contains_peeks_without_counting() {
-        let cache: QueryCache<u64> = QueryCache::new(2);
-        cache.insert(key(1), 1, 10);
-        assert!(cache.contains(&key(1), 1));
-        assert!(!cache.contains(&key(1), 2), "wrong generation");
-        assert!(!cache.contains(&key(2), 1), "never inserted");
-        assert_eq!(
-            cache.counters().hits.get() + cache.counters().misses.get(),
-            0,
-            "peeks count nothing"
-        );
-        cache.mark_all_stale(StaleReason::FullReload);
-        assert!(!cache.contains(&key(1), 1), "stale entries don't count");
     }
 
     /// A deadline far enough out that no test flight ever reads as stale.

@@ -15,7 +15,7 @@
 
 use crate::cache::QueryKey;
 use crate::event::EventShared;
-use crate::pool::{Admission, ExpandJob, Job, JobError, JobReply, QueryJob, ReplyTo};
+use crate::pool::{Admission, ExpandJob, Job, JobError, JobReply, QueryJob};
 use crate::protocol::{self, Admin, ErrKind, Request, Response, MAX_FRAME_BYTES};
 use crate::state::AdminReply;
 use crate::trace::{TraceCtx, TraceOutcome};
@@ -541,7 +541,6 @@ impl Conn {
                     key: key.clone(),
                     enqueued: started,
                     cancel,
-                    reply: ReplyTo::Flight,
                     trace,
                 });
                 match shared.pool.submit(job) {

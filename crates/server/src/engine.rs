@@ -164,9 +164,12 @@ pub trait ServeEngine: Send + Sync {
     /// thread). The successor must be the same *kind* of engine — a shard
     /// slice validates a snapshot's shard manifest against its own spec and
     /// applies a delta to its own rows only; a router moves its whole fleet,
-    /// all-or-keep-old. Beside the engine comes what the builder can vouch
-    /// for about cached answers: the delta's exact blast radius, or `None`
-    /// when nothing computed on the predecessor can be trusted.
+    /// all-or-keep-old. `commit` is the install mode: `false` when the
+    /// successor will be staged rather than served at once, which a router
+    /// refuses because building its successor already commits the fleet.
+    /// Beside the engine comes what the builder can vouch for about cached
+    /// answers: the delta's exact blast radius, or `None` when nothing
+    /// computed on the predecessor can be trusted.
     ///
     /// # Errors
     /// [`ErrKind::ReloadFailed`]; the caller keeps serving the old
@@ -174,6 +177,7 @@ pub trait ServeEngine: Send + Sync {
     fn successor(
         &self,
         next: &Successor,
+        commit: bool,
     ) -> Result<(Arc<dyn ServeEngine>, Option<DeltaScope>), WireError>;
 }
 
@@ -349,6 +353,7 @@ impl ServeEngine for LocalServeEngine {
     fn successor(
         &self,
         next: &Successor,
+        _commit: bool,
     ) -> Result<(Arc<dyn ServeEngine>, Option<DeltaScope>), WireError> {
         let (engine, scope) = match next {
             Successor::Snapshot(dir) => {

@@ -55,8 +55,7 @@
 //!    │                        └─reply── updater thread (every `Admin`
 //!    │                                   value: build, then swap or stage)
 //!    └── on shutdown: stop accepting, drop the io channels, io threads
-//!        drain their connections, then join updater, drain pool (the
-//!        updater holds a pool sender for warmup, so it retires first)
+//!        drain their connections, then drain the pool and join the updater
 //! ```
 //!
 //! A fixed set of I/O threads (`event`) own every client socket as a
@@ -106,12 +105,12 @@ pub use trace::{TraceCollector, TraceCtx, TraceOutcome};
 
 use crossbeam::channel::{self, Receiver, Sender};
 use pit_search_core::CancelToken;
-use pool::{Admission, Job, PoolClient, QueryJob, ReplyTo, WorkerPool};
+use pool::WorkerPool;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long the acceptor sleeps when the listener has nothing for it; also
 /// bounds how fast it notices the shutdown flag.
@@ -160,10 +159,9 @@ pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<S
     let (admin_tx, admin_rx) = channel::unbounded::<AdminJob>();
     let updater = {
         let state = Arc::clone(&state);
-        let jobs = pool.client();
         std::thread::Builder::new()
             .name("pit-updater".to_string())
-            .spawn(move || updater_loop(&admin_rx, &state, &jobs))?
+            .spawn(move || updater_loop(&admin_rx, &state))?
     };
     let shared = Arc::new(event::EventShared {
         state,
@@ -205,88 +203,10 @@ pub(crate) type AdminJob = (Admin, Sender<AdminReply>);
 /// concurrent admin verbs apply one at a time and the worker pool never
 /// blocks on a rebuild. Exits when the last admin sender drops (drain),
 /// after finishing whatever was already queued.
-///
-/// After a successful blanket-flush swap the thread runs the bounded cache
-/// warmup ([`warm_cache`]) before replying, so a `GEN <n>` answer means the
-/// new generation's cache is as warm as the budget allowed.
-fn updater_loop(rx: &Receiver<AdminJob>, state: &ServerState, jobs: &PoolClient) {
+fn updater_loop(rx: &Receiver<AdminJob>, state: &ServerState) {
     while let Ok((admin, reply)) = rx.recv() {
-        let result = state.admin(&admin);
-        if result.is_ok() && admin.flushes_cache() {
-            warm_cache(state, jobs);
-        }
-        let _ = reply.send(result);
+        let _ = reply.send(state.admin(&admin));
     }
-}
-
-/// Replay the hottest query keys through the normal worker path so the
-/// first clients after a blanket flush hit a warm cache instead of forming
-/// a thundering herd of cold misses. Runs on the updater thread, strictly
-/// bounded by `warmup_budget` (zero disables warmup entirely, the
-/// default); each replayed query also carries the regular per-query budget
-/// so one slow search cannot eat the whole window.
-///
-/// Replays go through the pool's bounded queue like any client query —
-/// `Overloaded` means real traffic is already warming the cache the honest
-/// way, so that key is simply skipped. Keys whose user fell out of the new
-/// engine (a shrinking reload) are dropped; keys a live client already
-/// repopulated count as warmed without a replay.
-fn warm_cache(state: &ServerState, jobs: &PoolClient) {
-    let budget = state.config().warmup_budget;
-    if budget.is_zero() || state.config().cache_capacity == 0 {
-        return;
-    }
-    let metrics = state.metrics();
-    let current = state.current();
-    let keys = state.hot_keys(state.config().warmup_top);
-    metrics.warmup_target.set(keys.len() as u64);
-    metrics.warmup_warmed.set(0);
-    let deadline = Instant::now() + budget;
-    let mut warmed = 0u64;
-    for key in keys {
-        let now = Instant::now();
-        let remaining = deadline.saturating_duration_since(now);
-        if remaining.is_zero() {
-            metrics.warmup_budget_exhausted.inc();
-            break;
-        }
-        if key.user as usize >= current.engine.node_count() {
-            continue;
-        }
-        if state.cached_under(&key, current.generation) {
-            warmed += 1;
-            continue;
-        }
-        let (tx, rx) = channel::bounded::<pool::JobReply>(1);
-        let job = Job::Query(QueryJob {
-            engine: current.clone(),
-            key,
-            enqueued: now,
-            cancel: state.query_token(now + state.config().query_budget.min(remaining)),
-            reply: ReplyTo::Direct(tx),
-            trace: state.tracing().begin(current.generation, now),
-        });
-        match jobs.submit(job) {
-            Admission::Queued => {
-                metrics.warmup_queries.inc();
-                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                    // try_execute filled the cache under the new generation.
-                    Ok(Ok(_)) => warmed += 1,
-                    // Timeout/panic/unindexed user: the key stays cold.
-                    Ok(Err(_)) => {}
-                    Err(_) => {
-                        // Budget elapsed mid-flight; the worker's eventual
-                        // cache fill still lands, but the run is over.
-                        metrics.warmup_budget_exhausted.inc();
-                        break;
-                    }
-                }
-            }
-            Admission::Overloaded => continue,
-            Admission::Closed => break,
-        }
-    }
-    metrics.warmup_warmed.set(warmed);
 }
 
 fn accept_loop(
@@ -338,15 +258,9 @@ fn accept_loop(
     }
     match Arc::try_unwrap(shared) {
         Ok(sh) => {
-            // The updater holds a pool submit handle (post-reload warmup),
-            // and workers only exit once *every* job sender is gone — so
-            // the updater must be retired before the pool can drain. Drop
-            // the last admin sender, join the updater (which drops its
-            // handle), then shut the pool down. The reverse order
-            // deadlocks.
+            sh.pool.shutdown();
             drop(sh.admin);
             let _ = updater.join();
-            sh.pool.shutdown();
         }
         #[expect(
             clippy::unreachable,

@@ -129,7 +129,8 @@ impl Metrics {
 pub(crate) enum Reading {
     Counter(u64),
     Gauge(u64),
-    /// A fractional gauge, four decimals in both replies.
+    /// A fraction, four decimals; has no Prometheus form (a dashboard
+    /// divides the two counters itself).
     Ratio(f64),
     /// Text; has no Prometheus form.
     Text(&'static str),
@@ -339,17 +340,6 @@ signals! {
     shard_fanout: by_shard, series "pit_shard_fanout_us",
         "Per-shard EXPAND round-trip wait (µs), labeled by shard index.";
 
-    warmup_queries: counter, stats "warmup_queries", series "pit_warmup_queries_total",
-        "Warmup queries replayed by the updater thread after full reloads.";
-    warmup_coverage = |v| ratio(v.metrics.warmup_warmed.get(), v.metrics.warmup_target.get()),
-        stats "warmup_coverage", series "pit_warmup_coverage",
-        "Fraction of the last warmup run's target keys repopulated";
-    warmup_budget_exhausted: counter,
-        stats "warmup_budget_exhausted", series "pit_warmup_budget_exhausted_total",
-        "Warmup runs that ran out of budget before finishing their key list.";
-    warmup_target: gauge, "Keys the most recent warmup run set out to replay.";
-    warmup_warmed: gauge, "Keys the most recent warmup run actually repopulated.";
-
     cache_entries = |v| Reading::Gauge(v.cache_live + v.cache_stale),
         stats "cache_entries", series "pit_cache_entries",
         "Result-cache entries resident";
@@ -414,16 +404,12 @@ signals! {
 const METRICS_RUNS: &[(Signal, Signal)] = {
     use Signal::*;
     &[
-        (queries, accept_errors),
-        (warmup_queries, warmup_queries),
-        (warmup_budget_exhausted, warmup_budget_exhausted),
-        (latency, shard_fanout),
+        (queries, shard_fanout),
         (hits, stale_evictions),
         (survivors, generation),
         (cache_entries, cache_entries),
         (cache_entries_live, cache_entries_stale),
         (workers, shards),
-        (warmup_coverage, warmup_coverage),
         (reload_bytes_mapped, reload_bytes_mapped),
     ]
 };
@@ -466,7 +452,6 @@ pub(crate) fn render_prometheus(view: &View<'_>) -> String {
             match (row.read)(view) {
                 Reading::Counter(v) => prom::counter(&mut out, name, row.help, v),
                 Reading::Gauge(v) => prom::gauge(&mut out, name, row.help, v),
-                Reading::Ratio(v) => prom::gauge_f64(&mut out, name, row.help, v),
                 Reading::Histogram(buckets, sum) => {
                     prom::histogram(&mut out, name, row.help, &buckets, sum);
                 }
@@ -476,7 +461,7 @@ pub(crate) fn render_prometheus(view: &View<'_>) -> String {
                 Reading::HistogramBy(label, series) => {
                     prom::histogram_labeled(&mut out, name, row.help, label, &series);
                 }
-                Reading::Text(_) => {}
+                Reading::Ratio(_) | Reading::Text(_) => {}
             }
         }
     }
@@ -550,16 +535,17 @@ mod tests {
         assert_eq!(h.count(), 3);
     }
 
-    /// How a row's `seed` writes `n` into each field type. A histogram takes
-    /// one observation of `2^(n mod 23)`, so its sum (`METRICS`) and its
-    /// quantile bound (`STATS`, twice the sum) both tell it from the others.
+    /// How a row's `seed` writes `n` into each (fresh, zeroed) field type.
+    /// A histogram takes one observation of `2^(n mod 23)`, so its sum
+    /// (`METRICS`) and its quantile bound (`STATS`, twice the sum) both tell
+    /// it from the others.
     pub(super) trait Seed {
         fn seed(&self, n: u64);
     }
 
     impl Seed for Counter {
         fn seed(&self, n: u64) {
-            self.set(n);
+            self.add(n);
         }
     }
 
@@ -580,7 +566,7 @@ mod tests {
     impl<const N: usize> Seed for [Counter; N] {
         fn seed(&self, n: u64) {
             for (i, c) in self.iter().enumerate() {
-                c.set(n * 10 + i as u64);
+                c.add(n * 10 + i as u64);
             }
         }
     }

@@ -55,15 +55,6 @@ pub enum JobError {
 /// `(shard index, reason)` for every shard that could not contribute.
 pub type JobReply = Result<(RankedTopics, u64, Vec<(u32, String)>), JobError>;
 
-/// Where a finished query's [`JobReply`] goes.
-pub enum ReplyTo {
-    /// A single waiter's buffered channel (the updater's cache warmup).
-    Direct(Sender<JobReply>),
-    /// The single-flight registry: the worker resolves the flight keyed by
-    /// the job's `(generation, key)`, delivering one clone per waiter.
-    Flight,
-}
-
 /// One unit of work admitted to the bounded queue.
 pub enum Job {
     /// A client `QUERY` (the expensive path).
@@ -87,7 +78,11 @@ pub struct ExpandJob {
     pub reply: Sender<Response>,
 }
 
-/// One admitted query, owned by a worker until answered.
+/// One admitted query, owned by a worker until answered. The answer goes to
+/// the single-flight registry: the worker resolves the flight keyed by the
+/// job's `(generation, key)`, delivering one clone per waiter and skipping
+/// dead receivers, so its send never blocks even when every waiter already
+/// gave up.
 pub struct QueryJob {
     /// Engine generation captured at admission. The worker executes against
     /// exactly this engine even if a `RELOAD` swap lands while the job is
@@ -103,10 +98,6 @@ pub struct QueryJob {
     /// the budget expires, and the token's own deadline stops the search
     /// even if the waiter is gone.
     pub cancel: CancelToken,
-    /// Where the result goes. Direct sends are buffered (capacity 1) and
-    /// flight resolution skips dead receivers, so a worker's send never
-    /// blocks even when every waiter already gave up.
-    pub reply: ReplyTo,
     /// Per-query trace handle, created at admission; the worker that
     /// answers the job finalizes it (inert single branch when unsampled).
     pub trace: TraceCtx,
@@ -142,46 +133,6 @@ pub struct WorkerPool {
     shared: Arc<PoolShared>,
 }
 
-/// A cloneable submit handle onto the pool's bounded queue, for threads
-/// that inject work without owning the pool (the updater's post-reload
-/// cache warmup). Admission semantics are identical to
-/// [`WorkerPool::submit`].
-///
-/// Holding a `PoolClient` keeps the workers alive — they exit only when
-/// every job sender is gone — so its owner must drop it (or exit) before
-/// [`WorkerPool::shutdown`] can finish draining.
-#[derive(Clone)]
-pub struct PoolClient {
-    jobs: Sender<Job>,
-    state: Arc<ServerState>,
-}
-
-impl PoolClient {
-    /// Offer a job without blocking; a full queue is the load-shed signal.
-    pub fn submit(&self, job: Job) -> Admission {
-        offer(&self.jobs, &self.state, job)
-    }
-}
-
-/// Shared admission path: maintains the `queued_jobs` gauge — incremented
-/// before the offer so a worker's decrement can never precede it,
-/// decremented right back when the offer is refused.
-fn offer(jobs: &Sender<Job>, state: &ServerState, job: Job) -> Admission {
-    let gauge = &state.metrics().queued_jobs;
-    gauge.inc();
-    match jobs.try_send(job) {
-        Ok(()) => Admission::Queued,
-        Err(TrySendError::Full(_)) => {
-            gauge.dec();
-            Admission::Overloaded
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            gauge.dec();
-            Admission::Closed
-        }
-    }
-}
-
 impl WorkerPool {
     /// Spawn `state.config().workers` threads over a queue of depth
     /// `state.config().queue_depth`.
@@ -207,18 +158,22 @@ impl WorkerPool {
     }
 
     /// Offer a job without blocking; a full queue is the load-shed signal.
-    /// Maintains the `queued_jobs` gauge (see the module-private `offer`).
+    /// Maintains the `queued_jobs` gauge — incremented before the offer so a
+    /// worker's decrement can never precede it, decremented right back when
+    /// the offer is refused.
     pub fn submit(&self, job: Job) -> Admission {
-        offer(&self.jobs, &self.shared.state, job)
-    }
-
-    /// A detached submit handle for threads that outlive individual
-    /// connections (the updater). See [`PoolClient`] for the shutdown
-    /// ordering obligation this creates.
-    pub fn client(&self) -> PoolClient {
-        PoolClient {
-            jobs: self.jobs.clone(),
-            state: Arc::clone(&self.shared.state),
+        let gauge = &self.shared.state.metrics().queued_jobs;
+        gauge.inc();
+        match self.jobs.try_send(job) {
+            Ok(()) => Admission::Queued,
+            Err(TrySendError::Full(_)) => {
+                gauge.dec();
+                Admission::Overloaded
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                gauge.dec();
+                Admission::Closed
+            }
         }
     }
 
@@ -302,23 +257,6 @@ fn worker_loop(rx: &Receiver<Job>, state: &ServerState) {
     }
 }
 
-/// Deliver one query reply: to the single direct waiter, or to every
-/// registered waiter of the job's flight.
-fn deliver(
-    reply_to: &ReplyTo,
-    engine: &EngineGen,
-    key: &QueryKey,
-    reply: JobReply,
-    state: &ServerState,
-) {
-    match reply_to {
-        ReplyTo::Direct(tx) => {
-            let _ = tx.send(reply);
-        }
-        ReplyTo::Flight => state.flight_resolve(engine.generation, key, &reply),
-    }
-}
-
 /// One `EXPAND` round on a worker. The generation was verified at dispatch;
 /// the captured engine is immutable, so the reply's generation tag is
 /// correct even if a swap lands mid-round.
@@ -361,15 +299,13 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
                 job.enqueued.elapsed(),
                 state.metrics(),
             );
-            deliver(
-                &job.reply,
-                &job.engine,
+            state.flight_resolve(
+                job.engine.generation,
                 &job.key,
-                Err(JobError::Search(SearchError::Cancelled {
+                &Err(JobError::Search(SearchError::Cancelled {
                     probed_tables: 0,
                     expand_rounds: 0,
                 })),
-                state,
             );
             return;
         }
@@ -423,8 +359,6 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
             job.enqueued.elapsed(),
             state.metrics(),
         );
-        // Direct reply slots are buffered and flight resolution skips dead
-        // receivers — either way this never blocks a worker.
-        deliver(&job.reply, &job.engine, &job.key, reply, state);
+        state.flight_resolve(job.engine.generation, &job.key, &reply);
     }
 }

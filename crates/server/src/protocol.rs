@@ -272,7 +272,8 @@ pub enum Successor {
 /// | `ABORT`              | `Abort`                                   | —     | `GEN n`   |
 ///
 /// Any of them can answer `ERR reload-failed …`; the serving generation is
-/// then exactly what it was.
+/// then exactly what it was. A router always refuses the two `PREPARE` rows:
+/// staging is how a router drives its backends, and a router is never one.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Admin {
     /// Build a successor engine from `next`, then swap it in (`commit`) or
@@ -287,23 +288,6 @@ pub enum Admin {
     Commit,
     /// Drop the staged successor, if any.
     Abort,
-}
-
-impl Admin {
-    /// Whether this change, when it succeeds, swaps with a blanket cache
-    /// flush (the table's `flush` rows) — after which the updater thread
-    /// re-warms the hottest keys. A delta installed at once never does: its
-    /// scoped retag keeps the unaffected entries alive, which is the point.
-    pub fn flushes_cache(&self) -> bool {
-        matches!(
-            self,
-            Admin::Commit
-                | Admin::Install {
-                    next: Successor::Snapshot(_),
-                    commit: true,
-                }
-        )
-    }
 }
 
 /// A parsed client request.

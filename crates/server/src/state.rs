@@ -73,14 +73,6 @@ pub struct ServerConfig {
     pub slow_threshold: Duration,
     /// Capacity of the trace ring and the slow-query log (each).
     pub trace_ring: usize,
-    /// Time budget for the post-`RELOAD` cache warmup job on the updater
-    /// thread (zero disables warmup). After a blanket flush, the hottest
-    /// cached keys are replayed through the normal worker path until the
-    /// budget runs out, shrinking the cold cliff clients would otherwise
-    /// absorb.
-    pub warmup_budget: Duration,
-    /// How many of the hottest keys the warmup job replays, at most.
-    pub warmup_top: usize,
 }
 
 impl Default for ServerConfig {
@@ -99,8 +91,6 @@ impl Default for ServerConfig {
             trace_sample: 0,
             slow_threshold: Duration::from_secs(1),
             trace_ring: 256,
-            warmup_budget: Duration::ZERO,
-            warmup_top: 16,
         }
     }
 }
@@ -244,7 +234,7 @@ impl ServerState {
             } if delta.is_empty() => Ok(Some(self.current().generation)),
             Admin::Install { next, commit } => {
                 let started = Instant::now();
-                let (engine, scope) = self.current().engine.successor(next)?;
+                let (engine, scope) = self.current().engine.successor(next, *commit)?;
                 let generation = if *commit {
                     Some(self.swap_engine(engine, scope.as_ref()))
                 } else {
@@ -309,25 +299,6 @@ impl ServerState {
         self.cache.get(key, generation)
     }
 
-    /// The `n` most-frequently-queried cache keys (hottest first), from the
-    /// cache's frequency sketch. Feeds the post-reload warmup job.
-    pub fn hot_keys(&self, n: usize) -> Vec<QueryKey> {
-        self.cache.hottest(n)
-    }
-
-    /// Whether a live cache entry for `key` exists under `generation`,
-    /// without counting a hit or miss. The warmup job uses this to skip
-    /// keys a client query already repopulated.
-    pub fn cached_under(&self, key: &QueryKey, generation: u64) -> bool {
-        self.cache.contains(key, generation)
-    }
-
-    /// A fresh cancellation token armed with `deadline` — the single source
-    /// of truth for one query's budget.
-    pub fn query_token(&self, deadline: Instant) -> CancelToken {
-        CancelToken::cancellable().with_deadline(deadline)
-    }
-
     /// Single-flight admission for a cold query under `generation`.
     /// Returns `Some(token)` when the caller leads a fresh flight (it must
     /// submit the one execution, which resolves via
@@ -342,9 +313,9 @@ impl ServerState {
         tx: Sender<JobReply>,
         deadline: Instant,
     ) -> Option<CancelToken> {
-        let role = self
-            .inflight
-            .begin(generation, key, tx, deadline, || self.query_token(deadline));
+        let role = self.inflight.begin(generation, key, tx, deadline, || {
+            CancelToken::cancellable().with_deadline(deadline)
+        });
         match role {
             FlightRole::Lead {
                 cancel,

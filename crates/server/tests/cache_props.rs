@@ -150,7 +150,18 @@ proptest! {
         let mut invalidated = 0u32;
         for (user, isle, key, old) in base_entries() {
             let fresh = ranking(&next, *user, *isle);
-            match cache.get(key, 2) {
+            let served = cache.get(key, 2);
+            if &fresh != old {
+                // Redundant with the survivor check below (a surviving
+                // changed answer fails it too), stated directly for the
+                // record: changed answers never survive.
+                prop_assert!(
+                    served.is_none(),
+                    "changed answer (user {}, isle {}) survived the retag",
+                    user, isle
+                );
+            }
+            match served {
                 Some(served) => {
                     survived += 1;
                     // The soundness core: a survivor answers under the new
@@ -164,16 +175,6 @@ proptest! {
                     );
                 }
                 None => invalidated += 1,
-            }
-            if &fresh != old {
-                // Redundant with the branch above (a surviving changed
-                // answer already failed), stated directly for the record:
-                // changed answers never survive.
-                prop_assert!(
-                    !cache.contains(key, 2),
-                    "changed answer (user {}, isle {}) survived the retag",
-                    user, isle
-                );
             }
         }
         prop_assert_eq!(survived, cache.counters().survivors.get() as u32);

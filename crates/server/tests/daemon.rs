@@ -528,61 +528,6 @@ fn update_leaves_disjoint_cache_entries_hitting() {
 }
 
 #[test]
-fn reload_warmup_repopulates_the_hottest_keys() {
-    let state = tiny_state(ServerConfig {
-        workers: 2,
-        cache_capacity: 16,
-        warmup_budget: Duration::from_secs(10),
-        warmup_top: 4,
-        ..ServerConfig::default()
-    });
-    let next = tiny_engine(300, 10);
-    let new_ranking = offline_ranking(&next, 5, 5);
-    let dir = scratch_dir("warmup");
-    pit::store::save_engine(&dir, &next).unwrap();
-
-    let handle = serve(Arc::clone(&state), "127.0.0.1:0").unwrap();
-    let mut c = TcpStream::connect(handle.addr()).unwrap();
-    let hot = query(5, 5, "query-0");
-    // Make user 5 the hottest key in the frequency sketch.
-    for _ in 0..3 {
-        assert!(matches!(ask(&mut c, &hot), Response::Topics { .. }));
-    }
-
-    let reload = Request::Admin(Admin::Install {
-        next: Successor::Snapshot(dir.clone()),
-        commit: true,
-    });
-    // The GEN reply arrives only after the warmup run finished.
-    assert_eq!(ask(&mut c, &reload), Response::Generation(2));
-
-    // First post-reload query: already warm, and warm with the *new*
-    // engine's ranking — warmup replayed it through the worker path.
-    let Response::Topics { ranked, cached, .. } = ask(&mut c, &hot) else {
-        panic!("expected topics");
-    };
-    assert!(cached, "warmup must repopulate the hottest key");
-    assert_eq!(ranked, new_ranking);
-
-    let Response::Stats(pairs) = ask(&mut c, &Request::Stats) else {
-        panic!("expected stats");
-    };
-    assert!(get_stat(&pairs, "warmup_queries") >= 1);
-    let coverage: f64 = pairs
-        .iter()
-        .find(|(k, _)| k == "warmup_coverage")
-        .expect("missing stat warmup_coverage")
-        .1
-        .parse()
-        .unwrap();
-    assert!(coverage > 0.0, "last warmup run must report coverage");
-
-    ask(&mut c, &Request::Shutdown);
-    handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn oversized_length_prefix_closes_the_connection_without_a_reply() {
     // The event loop's frame reader must refuse a length prefix above
     // the cap before buffering toward it: no reply, the connection

@@ -232,9 +232,10 @@ impl ServeEngine for Faulty {
     fn successor(
         &self,
         next: &Successor,
+        commit: bool,
     ) -> Result<(Arc<dyn ServeEngine>, Option<DeltaScope>), WireError> {
         std::thread::sleep(self.faults.slow_successor);
-        let (engine, scope) = self.inner.successor(next)?;
+        let (engine, scope) = self.inner.successor(next, commit)?;
         Ok((Self::wrap(engine, self.faults.clone()), scope))
     }
 }

@@ -182,7 +182,8 @@ mod tests {
     fn query_terms_match_many_topics() {
         let cfg = SyntheticTopicConfig::small();
         let (s, _) = generate_topic_space(100, &cfg);
-        // The hottest query term should cover well above the uniform share.
+        // The most popular query term should cover well above the uniform
+        // share.
         let max_cover = (0..cfg.query_term_count)
             .map(|i| s.topics_for_term(TermId::from_index(i)).len())
             .max()
