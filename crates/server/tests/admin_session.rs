@@ -98,7 +98,9 @@ const SCRIPT: &[&str] = &[
     "QUERY 9 3 island-b",
     "UPDATE",
     "UPDATE\nEDGE 1 1 0.5",
-    // Two-phase from a directory.
+    // Two-phase from a directory. The fleet refuses every PREPARE: a router
+    // stages nothing (building its successor would commit its backends), so
+    // there the COMMITs below find nothing staged and nothing swaps.
     "PREPARE DIR {good}",
     "QUERY 0 3 island-a",
     "COMMIT",
@@ -109,11 +111,7 @@ const SCRIPT: &[&str] = &[
     "ABORT",
     // Two-phase from a delta; an empty delta stages too, and a PREPARE over
     // a PREPARE replaces it — on the single node the edge below never
-    // serves. The fleet differs, and the transcript pins that as today's
-    // behaviour rather than endorsing it: a PREPARE sent to the *router*
-    // commits its backends at once and parks only the router's own next
-    // generation, so the replaced edge is live on the shards while the
-    // committed metadata lacks it (the B ranking after this COMMIT).
+    // serves.
     "PREPARE UPDATE\nEDGE 6 9 0.3",
     "PREPARE UPDATE",
     "PREPARE DIR {missing}",
