@@ -52,10 +52,6 @@ const STATS_KEYS: &[&str] = &[
     "exec_p99_us",
     "reload_p50_us",
     "reload_p99_us",
-    // Post-reload warmup (lifetime counters + last-run coverage).
-    "warmup_queries",
-    "warmup_coverage",
-    "warmup_budget_exhausted",
     // Cache counters.
     "cache_entries",
     "cache_capacity",
@@ -111,8 +107,6 @@ const METRIC_NAMES: &[(&str, &str)] = &[
     ("pit_coalesced_queries_total", "counter"),
     ("pit_inflight_executions_total", "counter"),
     ("pit_accept_errors_total", "counter"),
-    ("pit_warmup_queries_total", "counter"),
-    ("pit_warmup_budget_exhausted_total", "counter"),
     ("pit_latency_us", "histogram"),
     ("pit_queue_wait_us", "histogram"),
     ("pit_execution_us", "histogram"),
@@ -146,7 +140,6 @@ const METRIC_NAMES: &[(&str, &str)] = &[
     ("pit_topics", "gauge"),
     ("pit_index_bytes", "gauge"),
     ("pit_shards", "gauge"),
-    ("pit_warmup_coverage", "gauge"),
     ("pit_reload_bytes_mapped", "gauge"),
 ];
 
