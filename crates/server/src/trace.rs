@@ -353,6 +353,109 @@ mod tests {
         assert!(dump.contains("tables=9"), "work counters survive: {dump}");
     }
 
+    /// The exact bytes `TRACE` prints for one capture: the header tokens in
+    /// order, then one line per span with its stage's detail word.
+    #[test]
+    fn rendered_trace_bytes_are_pinned() {
+        use pit_obs::trace::Span;
+        let span = |stage, start_us, dur_us, detail| Span {
+            stage,
+            start_us,
+            dur_us,
+            detail,
+        };
+        let executed = Trace {
+            id: TraceId(0x2a),
+            generation: 1,
+            user: 7,
+            k: 5,
+            terms: vec![0, 2],
+            outcome: TraceOutcome::Partial.as_str(),
+            cached: false,
+            slow: true,
+            sampled: true,
+            total_us: 41873,
+            expand_rounds: 2,
+            probed_tables: 16,
+            candidate_topics: 36,
+            pruned_topics: 31,
+            loaded_reps: 288,
+            spans: vec![
+                span(Stage::CacheProbe, 21, 2, 0),
+                span(Stage::QueueWait, 1, 46, 0),
+                span(Stage::Gather, 56, 292, 288),
+                span(Stage::ExpandRound, 368, 40168, 14),
+                span(Stage::ExpandRound, 40554, 921, 1),
+                span(Stage::Rank, 41601, 23, 36),
+            ],
+        };
+        assert_eq!(
+            executed.render(),
+            "trace 000000000000002a user=7 k=5 terms=[0,2] gen=1 outcome=partial cached=no \
+             slow=yes sampled=yes total_us=41873 rounds=2 tables=16 candidates=36 pruned=31 \
+             reps=288\n\
+             \x20 cache_probe  +21us 2us miss\n\
+             \x20 queue_wait   +1us 46us\n\
+             \x20 gather       +56us 292us reps=288\n\
+             \x20 expand_round +368us 40168us tables=14\n\
+             \x20 expand_round +40554us 921us tables=1\n\
+             \x20 rank         +41601us 23us candidates=36"
+        );
+        let hit = Trace {
+            id: TraceId(3),
+            generation: 9,
+            user: 0,
+            k: 1,
+            terms: vec![4],
+            outcome: TraceOutcome::Ok.as_str(),
+            cached: true,
+            slow: false,
+            sampled: true,
+            total_us: 12,
+            expand_rounds: 0,
+            probed_tables: 0,
+            candidate_topics: 0,
+            pruned_topics: 0,
+            loaded_reps: 0,
+            spans: vec![span(Stage::CacheProbe, 3, 4, 1)],
+        };
+        assert_eq!(
+            hit.render(),
+            "trace 0000000000000003 user=0 k=1 terms=[4] gen=9 outcome=ok cached=yes slow=no \
+             sampled=yes total_us=12 rounds=0 tables=0 candidates=0 pruned=0 reps=0\n\
+             \x20 cache_probe  +3us 4us hit"
+        );
+    }
+
+    /// The exact bytes of a `TRACE` dump, up to the process-wide trace id:
+    /// the capture header, both section headers and an unsampled slow
+    /// query's counters-only summary.
+    #[test]
+    fn dump_bytes_are_pinned() {
+        let c = TraceCollector::new(0, Duration::from_millis(2), 8);
+        let m = Metrics::default();
+        c.finish(
+            c.begin(4, Instant::now()),
+            &key(),
+            TraceOutcome::Timeout,
+            false,
+            Some(stats()),
+            Duration::from_micros(2500),
+            &m,
+        );
+        let dump = c.dump(8);
+        let (head, tail) = dump.split_once("trace ").expect("one capture");
+        let (_id, tail) = tail.split_once(' ').expect("id then tokens");
+        assert_eq!(
+            format!("{head}trace _ {tail}"),
+            "captured sampled=0 slow=1 sample_every=0 slow_threshold_ms=2\n\
+             [slow] showing 1 of 1\n\
+             trace _ user=7 k=5 terms=[0,2] gen=4 outcome=timeout cached=no slow=yes \
+             sampled=no total_us=2500 rounds=2 tables=9 candidates=3 pruned=1 reps=12\n\
+             [sampled] showing 0 of 0"
+        );
+    }
+
     #[test]
     fn slow_and_sampled_appears_in_both_sections() {
         let c = TraceCollector::new(1, Duration::ZERO, 8);
