@@ -206,7 +206,6 @@ impl Conn {
                             trace,
                             &key,
                             TraceOutcome::from(&reply),
-                            false,
                             None,
                             elapsed,
                             shared.state.metrics(),
@@ -223,7 +222,6 @@ impl Conn {
                             trace,
                             &key,
                             TraceOutcome::Timeout,
-                            false,
                             None,
                             started.elapsed(),
                             shared.state.metrics(),
@@ -251,7 +249,6 @@ impl Conn {
                             trace,
                             &key,
                             TraceOutcome::Error,
-                            false,
                             None,
                             started.elapsed(),
                             shared.state.metrics(),
@@ -498,13 +495,7 @@ impl Conn {
         // The sampling decision for this query, made once; every later hook
         // is a single branch when it said no.
         let mut trace = state.tracing().begin(current.generation, started);
-        trace.begin(pit_obs::trace::Stage::CacheProbe);
-        let looked_up = state.lookup(&key, current.generation);
-        trace.end(
-            pit_obs::trace::Stage::CacheProbe,
-            u64::from(looked_up.is_some()),
-        );
-        if let Some(ranked) = looked_up {
+        if let Some(ranked) = trace.probe_cache(|| state.lookup(&key, current.generation)) {
             state.metrics().queries.inc();
             let elapsed = started.elapsed();
             state.metrics().latency.observe(elapsed);
@@ -512,7 +503,6 @@ impl Conn {
                 trace,
                 &key,
                 TraceOutcome::Ok,
-                true,
                 None,
                 elapsed,
                 state.metrics(),

@@ -21,7 +21,6 @@ use crate::state::{EngineGen, RankedTopics, ServerState};
 use crate::trace::{TraceCtx, TraceOutcome};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
-use pit_obs::trace::Stage;
 use pit_obs::Counter;
 use pit_search_core::{CancelToken, SearchError, SearchScratch, SearchStats};
 use std::panic::AssertUnwindSafe;
@@ -286,7 +285,7 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
     {
         let waited = job.enqueued.elapsed();
         state.metrics().queue_wait.observe(waited);
-        job.trace.event(Stage::QueueWait, waited, 0);
+        job.trace.queue_wait(waited);
         if job.cancel.is_cancelled() {
             // Every waiter already timed out (or the deadline expired
             // in-queue): don't burn CPU on an abandoned job.
@@ -294,7 +293,6 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
                 job.trace,
                 &job.key,
                 TraceOutcome::Timeout,
-                false,
                 None,
                 job.enqueued.elapsed(),
                 state.metrics(),
@@ -354,7 +352,6 @@ fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch
             job.trace,
             &job.key,
             TraceOutcome::from(&reply),
-            false,
             stats,
             job.enqueued.elapsed(),
             state.metrics(),
