@@ -101,7 +101,6 @@ pub use protocol::{
     MAX_FRAME_BYTES,
 };
 pub use state::{AdminReply, EngineGen, RankedTopics, ServerConfig, ServerState};
-pub use trace::{TraceCollector, TraceCtx, TraceOutcome};
 
 use crossbeam::channel::{self, Receiver, Sender};
 use pit_search_core::CancelToken;
