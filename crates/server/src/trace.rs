@@ -5,7 +5,7 @@
 //! A [`TraceCtx`] is created once per admitted query (after validation) and
 //! travels with it — connection thread for the cache probe, worker thread
 //! for queue wait and execution — then comes back to the
-//! [`TraceCollector`] exactly once via [`TraceCollector::finish`]. The
+//! [`TraceCollector`] exactly once via `TraceCollector::finish`. The
 //! unsampled path is deliberately near-free: the sampling decision is one
 //! branch plus one relaxed counter, and every span hook on an unsampled
 //! context is a single `Option` branch.
@@ -166,7 +166,7 @@ impl TraceCtx {
 
     /// Run the result-cache `probe`, timing it and remembering whether it
     /// hit.
-    pub fn probe_cache<T>(&mut self, probe: impl FnOnce() -> Option<T>) -> Option<T> {
+    pub(crate) fn probe_cache<T>(&mut self, probe: impl FnOnce() -> Option<T>) -> Option<T> {
         self.begin(Stage::CacheProbe);
         let found = probe();
         self.cached = found.is_some();
@@ -176,7 +176,7 @@ impl TraceCtx {
 
     /// Record the queue wait, which only the dequeuing worker can measure,
     /// as a span ending now (no-op when unsampled).
-    pub fn queue_wait(&mut self, waited: Duration) {
+    pub(crate) fn queue_wait(&mut self, waited: Duration) {
         if let Some(rec) = &mut self.rec {
             let end_us = micros(rec.epoch.elapsed());
             let dur_us = micros(waited);
@@ -332,7 +332,7 @@ impl TraceCollector {
     /// Build from the serving knobs: sample one query in `sample_every`
     /// (0 disables sampling), log queries slower than `slow_threshold`,
     /// keep the last `ring_capacity` captures per ring.
-    pub fn new(sample_every: u64, slow_threshold: Duration, ring_capacity: usize) -> Self {
+    pub(crate) fn new(sample_every: u64, slow_threshold: Duration, ring_capacity: usize) -> Self {
         TraceCollector {
             sample_every,
             decided: Counter::new(0),
@@ -351,7 +351,7 @@ impl TraceCollector {
 
     /// Decide this query's fate at admission: sampled queries get a live
     /// span recorder with `epoch` (the admission instant) as time zero.
-    pub fn begin(&self, generation: u64, epoch: Instant) -> TraceCtx {
+    pub(crate) fn begin(&self, generation: u64, epoch: Instant) -> TraceCtx {
         let rec = self.sample().then(|| {
             Box::new(Recorder {
                 epoch,
@@ -370,7 +370,7 @@ impl TraceCollector {
     /// trace into the sampled ring and/or the slow-query log. `stats` is
     /// present for queries that actually executed a search (fully or until
     /// cancellation); cached and shed queries pass `None`.
-    pub fn finish(
+    pub(crate) fn finish(
         &self,
         ctx: TraceCtx,
         key: &QueryKey,
@@ -426,7 +426,7 @@ impl TraceCollector {
     /// slow queries first (the ones an operator is hunting), then sampled
     /// traces, both newest-first. A trace that is both slow and sampled
     /// appears in both sections under the same id.
-    pub fn dump(&self, n: usize) -> String {
+    pub(crate) fn dump(&self, n: usize) -> String {
         let mut out = format!(
             "captured sampled={} slow={} sample_every={} slow_threshold_ms={}",
             self.ring.cursor.get(),
