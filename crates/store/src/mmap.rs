@@ -5,7 +5,8 @@
 //! and N co-hosted shard processes mapping the same snapshot share one copy
 //! of the page cache. Everywhere else (and when `mmap` itself fails) the
 //! file is read into an 8-byte-aligned heap buffer — same validation, same
-//! `Sect` views, just resident up front.
+//! `Sect` views, just resident up front. The `mmap`/`munmap` calls live in
+//! pit-sys ([`pit_sys::MappedRegion`]), the workspace's one FFI home.
 //!
 //! Snapshots are immutable by construction: the store writes into a staging
 //! directory and renames whole snapshots into place, and replaces them the
@@ -19,7 +20,7 @@ use std::sync::Arc;
 
 enum Backing {
     #[cfg(unix)]
-    Mmap { ptr: *const u8, len: usize },
+    Mmap(pit_sys::MappedRegion),
     /// The fallback: file bytes in a `Vec<u64>` so the base pointer is
     /// 8-byte aligned (the strictest element alignment the format stores).
     Heap { buf: Vec<u64>, len: usize },
@@ -29,14 +30,6 @@ enum Backing {
 pub struct Mapping {
     backing: Backing,
 }
-
-// SAFETY: the mapping is read-only (`PROT_READ`) and the backing file is
-// immutable under the store's staged-rename protocol, so concurrent reads
-// from any thread observe the same frozen bytes; the heap fallback is an
-// ordinary owned buffer.
-unsafe impl Send for Mapping {}
-// SAFETY: see `Send` — shared references only ever read immutable bytes.
-unsafe impl Sync for Mapping {}
 
 impl Mapping {
     /// Map (or read) the whole file at `path`.
@@ -50,10 +43,13 @@ impl Mapping {
             )
         })?;
         #[cfg(unix)]
-        if len > 0 {
-            if let Some(ptr) = unix_map(&file, len) {
+        {
+            // SAFETY: `len` is the file's own length, and snapshots are
+            // immutable by construction (see the module docs): nothing
+            // truncates or rewrites a live file while it is mapped.
+            if let Some(region) = unsafe { pit_sys::MappedRegion::map_readonly(&file, len) } {
                 return Ok(Arc::new(Mapping {
-                    backing: Backing::Mmap { ptr, len },
+                    backing: Backing::Mmap(region),
                 }));
             }
         }
@@ -82,12 +78,7 @@ impl Mapping {
     pub fn bytes(&self) -> &[u8] {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mmap { ptr, len } => {
-                // SAFETY: `ptr` is the live `mmap` base covering `len`
-                // readable bytes; the region stays mapped until `Drop`, and
-                // the returned borrow cannot outlive `self`.
-                unsafe { std::slice::from_raw_parts(*ptr, *len) }
-            }
+            Backing::Mmap(region) => region.bytes(),
             Backing::Heap { buf, len } => heap_bytes(buf, *len),
         }
     }
@@ -97,7 +88,7 @@ impl Mapping {
     pub fn is_mapped(&self) -> bool {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mmap { .. } => true,
+            Backing::Mmap(_) => true,
             Backing::Heap { .. } => false,
         }
     }
@@ -106,7 +97,7 @@ impl Mapping {
     pub fn len(&self) -> usize {
         match &self.backing {
             #[cfg(unix)]
-            Backing::Mmap { len, .. } => *len,
+            Backing::Mmap(region) => region.bytes().len(),
             Backing::Heap { len, .. } => *len,
         }
     }
@@ -123,67 +114,6 @@ fn heap_bytes(buf: &[u64], len: usize) -> &[u8] {
     // (len <= size_of_val(buf) by construction in `open`); u64 has no
     // padding, every byte of it is initialized, and u8 has alignment 1.
     unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), len.min(size_of_val(buf))) }
-}
-
-impl Drop for Mapping {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let Backing::Mmap { ptr, len } = &self.backing {
-            // SAFETY: `ptr`/`len` describe exactly the region returned by
-            // `mmap` in `unix_map`, unmapped exactly once, and no `bytes()`
-            // borrow can outlive `self`.
-            unsafe {
-                munmap((*ptr).cast_mut().cast(), *len);
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-use std::os::unix::io::AsRawFd;
-
-// Minimal raw bindings: std already links libc on unix, so declaring the
-// two symbols we need avoids a dependency. Constants are identical on
-// Linux and the BSD family for these two flags.
-#[cfg(unix)]
-extern "C" {
-    fn mmap(
-        addr: *mut std::ffi::c_void,
-        len: usize,
-        prot: i32,
-        flags: i32,
-        fd: i32,
-        offset: i64,
-    ) -> *mut std::ffi::c_void;
-    fn munmap(addr: *mut std::ffi::c_void, len: usize) -> i32;
-}
-
-#[cfg(unix)]
-const PROT_READ: i32 = 1;
-#[cfg(unix)]
-const MAP_PRIVATE: i32 = 2;
-
-/// `mmap` the whole file read-only; `None` on any failure (caller falls
-/// back to reading).
-#[cfg(unix)]
-fn unix_map(file: &File, len: usize) -> Option<*const u8> {
-    // SAFETY: fd is a live, readable file descriptor; len > 0 (checked by
-    // the caller); a MAP_PRIVATE/PROT_READ mapping of a regular file has no
-    // aliasing obligations. MAP_FAILED (-1) is checked before use.
-    let ptr = unsafe {
-        mmap(
-            std::ptr::null_mut(),
-            len,
-            PROT_READ,
-            MAP_PRIVATE,
-            file.as_raw_fd(),
-            0,
-        )
-    };
-    if ptr as isize == -1 || ptr.is_null() {
-        return None;
-    }
-    Some(ptr.cast_const().cast())
 }
 
 #[cfg(test)]
