@@ -20,7 +20,6 @@
 
 use crate::metrics::CacheCounters;
 use crate::protocol::wire_enum;
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use pit::DeltaScope;
 use pit_graph::{NodeId, TermId};
@@ -328,9 +327,9 @@ pub enum FlightRole<C> {
     Join,
 }
 
-struct Flight<R, C> {
-    /// One reply channel per waiting connection (leader included).
-    waiters: Vec<Sender<R>>,
+struct Flight<W, C> {
+    /// One reply slot per waiting connection (leader included).
+    waiters: Vec<W>,
     /// Waiters still interested. Decremented by [`InflightMap::abandon`];
     /// at zero the flight's execution is pointless and gets cancelled.
     live: usize,
@@ -359,14 +358,15 @@ const STALE_GRACE: Duration = Duration::from_secs(30);
 /// in flight at a time; identical concurrent cold queries register as
 /// waiters on it and all receive the one result.
 ///
-/// Generic over the result (`R`, cloned per waiter) and the cancel handle
-/// (`C`, e.g. a `CancelToken`) so the map itself stays a pure data
-/// structure: resolution sends happen in the caller, outside the lock.
-pub struct InflightMap<R, C> {
-    flights: Mutex<HashMap<(u64, QueryKey), Flight<R, C>>>,
+/// Generic over the waiter (`W`, a reply slot the result is sent through)
+/// and the cancel handle (`C`, e.g. a `CancelToken`) so the map itself
+/// stays a pure data structure: resolution sends happen in the caller,
+/// outside the lock.
+pub struct InflightMap<W, C> {
+    flights: Mutex<HashMap<(u64, QueryKey), Flight<W, C>>>,
 }
 
-impl<R, C: Clone> InflightMap<R, C> {
+impl<W, C: Clone> InflightMap<W, C> {
     /// An empty registry.
     pub fn new() -> Self {
         InflightMap {
@@ -387,7 +387,7 @@ impl<R, C: Clone> InflightMap<R, C> {
         &self,
         generation: u64,
         key: &QueryKey,
-        tx: Sender<R>,
+        tx: W,
         deadline: Instant,
         make: impl FnOnce() -> C,
     ) -> FlightRole<C> {
@@ -455,7 +455,7 @@ impl<R, C: Clone> InflightMap<R, C> {
     /// The execution finished (or failed to start): remove the flight and
     /// hand back every waiter channel. The caller sends the result outside
     /// the lock.
-    pub fn resolve(&self, generation: u64, key: &QueryKey) -> Vec<Sender<R>> {
+    pub fn resolve(&self, generation: u64, key: &QueryKey) -> Vec<W> {
         let mut flights = self.flights.lock();
         match flights.remove(&(generation, key.clone())) {
             Some(flight) => flight.waiters,
@@ -474,7 +474,7 @@ impl<R, C: Clone> InflightMap<R, C> {
     }
 }
 
-impl<R, C: Clone> Default for InflightMap<R, C> {
+impl<W, C: Clone> Default for InflightMap<W, C> {
     fn default() -> Self {
         InflightMap::new()
     }
@@ -769,7 +769,7 @@ mod tests {
 
     #[test]
     fn single_flight_leads_then_joins_then_resolves() {
-        let m: InflightMap<u64, u32> = InflightMap::new();
+        let m: InflightMap<crossbeam::channel::Sender<u64>, u32> = InflightMap::new();
         let (tx1, rx1) = crossbeam::channel::bounded(1);
         let (tx2, rx2) = crossbeam::channel::bounded(1);
         assert!(matches!(
@@ -798,7 +798,7 @@ mod tests {
 
     #[test]
     fn different_generation_or_key_is_a_separate_flight() {
-        let m: InflightMap<u64, u32> = InflightMap::new();
+        let m: InflightMap<crossbeam::channel::Sender<u64>, u32> = InflightMap::new();
         let (tx, _rx) = crossbeam::channel::bounded(1);
         assert!(matches!(
             m.begin(1, &key(7), tx.clone(), soon(), || 1),
@@ -817,7 +817,7 @@ mod tests {
 
     #[test]
     fn a_flight_lingering_past_grace_is_taken_over() {
-        let m: InflightMap<u64, u32> = InflightMap::new();
+        let m: InflightMap<crossbeam::channel::Sender<u64>, u32> = InflightMap::new();
         let (tx1, rx1) = crossbeam::channel::bounded::<u64>(1);
         let (tx2, _rx2) = crossbeam::channel::bounded(1);
         // A corpse: its deadline passed more than STALE_GRACE ago (clamped
@@ -854,7 +854,7 @@ mod tests {
 
     #[test]
     fn last_abandon_surfaces_the_cancel_handle_but_keeps_the_entry() {
-        let m: InflightMap<u64, u32> = InflightMap::new();
+        let m: InflightMap<crossbeam::channel::Sender<u64>, u32> = InflightMap::new();
         let (tx1, _rx1) = crossbeam::channel::bounded(1);
         let (tx2, _rx2) = crossbeam::channel::bounded(1);
         let _ = m.begin(1, &key(7), tx1, soon(), || 5);
@@ -873,7 +873,7 @@ mod tests {
 
     #[test]
     fn a_revived_flight_is_not_double_cancelled_by_a_racing_abandon() {
-        let m: InflightMap<u64, u32> = InflightMap::new();
+        let m: InflightMap<crossbeam::channel::Sender<u64>, u32> = InflightMap::new();
         let (tx1, _rx1) = crossbeam::channel::bounded(1);
         let (tx2, _rx2) = crossbeam::channel::bounded(1);
         let _ = m.begin(1, &key(7), tx1, soon(), || 5);

@@ -1,31 +1,37 @@
 //! One client connection as a state machine driven by the I/O threads.
 //!
 //! A [`Conn`] owns a nonblocking socket plus its read/write buffers and is
-//! stepped by [`crate::event::io_loop`] whenever the loop sweeps. Each step
-//! flushes pending output, polls whatever the connection is waiting on
-//! (worker reply, admin reply), and parses/dispatches newly arrived frames.
-//! Nothing here blocks: CPU work goes to the worker pool, admin mutations
-//! go to the updater thread, and the connection just remembers which reply
-//! channel it is awaiting. An idle or slow client therefore costs one file
-//! descriptor and a few KiB of buffer — never a thread.
+//! stepped by [`crate::event::io_loop`] whenever its socket is ready, its
+//! awaited reply lands, or its deadline passes. Each step polls whatever
+//! the connection is waiting on (worker reply, admin reply), parses and
+//! dispatches newly arrived frames, and flushes pending output. Nothing
+//! here blocks: CPU work goes to the worker pool, admin mutations go to the
+//! updater thread, and the connection just remembers which reply channel
+//! it is awaiting — the reply's [`Reply`] slot wakes its I/O thread when
+//! filled. Between steps the connection tells the loop what it can act on
+//! next ([`Conn::interest`], [`Conn::deadline`]); a spurious step is always
+//! harmless. An idle or slow client therefore costs one file descriptor and
+//! a few KiB of buffer — never a thread, and no CPU.
 //!
 //! Dispatch semantics (verb set, error taxonomy, counter bumps, trace
 //! finalization) are identical to the retired thread-per-connection
 //! `serve_connection`: served rankings are bit-for-bit the same.
 
 use crate::cache::QueryKey;
-use crate::event::EventShared;
-use crate::pool::{Admission, ExpandJob, Job, JobError, JobReply, QueryJob};
+use crate::event::{EventShared, Wake};
+use crate::pool::{Admission, ExpandJob, Job, JobError, JobReply, QueryJob, Reply};
 use crate::protocol::{self, Admin, ErrKind, Request, Response, MAX_FRAME_BYTES};
 use crate::state::AdminReply;
 use crate::trace::{TraceCtx, TraceOutcome};
-use crossbeam::channel::{self, Receiver, TryRecvError};
+use crossbeam::channel::{Receiver, TryRecvError};
 use pit_search_core::SearchError;
+use pit_sys::Interest;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::os::fd::{AsRawFd, RawFd};
+use std::time::{Duration, Instant};
 
-/// Read chunk size per sweep; frames larger than this just take more sweeps.
+/// Read chunk size per read call; a step reads until the socket is dry.
 const READ_CHUNK: usize = 4096;
 
 /// What a connection is currently waiting on (if anything).
@@ -71,17 +77,19 @@ pub(crate) struct Conn {
     sent: usize,
     last_activity: Instant,
     mode: Mode,
+    /// Wakes this connection's I/O thread; every reply slot it hands out
+    /// carries a clone.
+    wake: Wake,
 }
 
-/// Outcome of one [`Conn::step`]: does the connection stay registered, and
-/// did it make observable progress (used for the event loop's backoff)?
-pub(crate) struct Stepped {
-    pub alive: bool,
-    pub progress: bool,
+impl AsRawFd for Conn {
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, now: Instant) -> Conn {
+    pub(crate) fn new(stream: TcpStream, now: Instant, wake: Wake) -> Conn {
         Conn {
             stream,
             inbuf: Vec::new(),
@@ -89,6 +97,29 @@ impl Conn {
             sent: 0,
             last_activity: now,
             mode: Mode::Reading,
+            wake,
+        }
+    }
+
+    /// The socket readiness the next step can act on: input only while
+    /// parsing frames (a connection awaiting a reply leaves pipelined bytes
+    /// in the kernel), output only while some is queued.
+    pub(crate) fn interest(&self) -> Interest {
+        Interest {
+            read: matches!(self.mode, Mode::Reading),
+            write: self.sent < self.outbuf.len(),
+        }
+    }
+
+    /// When the connection must next be stepped even if nothing wakes it:
+    /// the idle cut while reading, the query budget while awaiting a
+    /// `QUERY` reply. An `EXPAND` or admin reply is awaited without a
+    /// deadline, as is a farewell being flushed.
+    pub(crate) fn deadline(&self, io_timeout: Duration) -> Option<Instant> {
+        match &self.mode {
+            Mode::Reading => Some(self.last_activity + io_timeout),
+            Mode::AwaitQuery { deadline, .. } => Some(*deadline),
+            Mode::AwaitExpand { .. } | Mode::AwaitAdmin { .. } | Mode::Closing => None,
         }
     }
 
@@ -105,8 +136,8 @@ impl Conn {
 
     /// Abandon whatever this connection is awaiting (it is going away):
     /// deregister from the shared flight — the last waiter to leave cancels
-    /// the flight's execution.
-    fn abandon_wait(&mut self, shared: &EventShared) {
+    /// the flight's execution. Idempotent.
+    pub(crate) fn abandon_wait(&mut self, shared: &EventShared) {
         if let Mode::AwaitQuery {
             key, generation, ..
         } = &self.mode
@@ -116,44 +147,37 @@ impl Conn {
         self.mode = Mode::Closing;
     }
 
-    /// Drive the connection one sweep. `stopping` is the drain flag: an
-    /// in-flight request still finishes and gets its reply, but at most one
-    /// buffered frame is served before the connection closes.
-    pub(crate) fn step(&mut self, shared: &EventShared, stopping: bool, now: Instant) -> Stepped {
-        let mut progress = false;
-        if !self.flush(&mut progress) {
-            self.abandon_wait(shared);
-            return Stepped {
-                alive: false,
-                progress: true,
-            };
-        }
-        self.poll_waits(shared, stopping, now, &mut progress);
-        let alive = match self.mode {
-            Mode::Reading => self.pump_reads(shared, stopping, now, &mut progress),
-            // Keep the fd until the farewell frame is fully flushed.
-            Mode::Closing if self.outbuf.is_empty() => {
-                progress = true;
-                false
-            }
+    /// Drive the connection one step; returns false when it should close.
+    /// `stopping` is the drain flag: an in-flight request still finishes
+    /// and gets its reply, but at most one buffered frame is served before
+    /// the connection closes.
+    pub(crate) fn step(&mut self, shared: &EventShared, stopping: bool, now: Instant) -> bool {
+        self.poll_waits(shared, stopping, now);
+        let reading = match self.mode {
+            Mode::Reading => self.pump_reads(shared, stopping, now),
             _ => true,
         };
+        // Flush even when closing: whatever this step queued goes out best
+        // effort.
+        let alive = self.flush()
+            && reading
+            // Keep the fd until the farewell frame is fully flushed.
+            && !(matches!(self.mode, Mode::Closing) && self.outbuf.is_empty());
         if !alive {
             self.abandon_wait(shared);
         }
-        Stepped { alive, progress }
+        alive
     }
 
     /// Nonblocking write of whatever is queued. Returns false when the
     /// socket is dead.
-    fn flush(&mut self, progress: &mut bool) -> bool {
+    fn flush(&mut self) -> bool {
         while self.sent < self.outbuf.len() {
             match self.stream.write(&self.outbuf[self.sent..]) {
                 Ok(0) => return false,
                 Ok(n) => {
                     self.sent += n;
                     self.last_activity = Instant::now();
-                    *progress = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -169,13 +193,7 @@ impl Conn {
 
     /// Poll the awaited reply channel, if any, and turn its answer (or the
     /// deadline) into a queued response.
-    fn poll_waits(
-        &mut self,
-        shared: &EventShared,
-        stopping: bool,
-        now: Instant,
-        progress: &mut bool,
-    ) {
+    fn poll_waits(&mut self, shared: &EventShared, stopping: bool, now: Instant) {
         let after_reply = |stopping: bool| {
             if stopping {
                 Mode::Closing
@@ -213,7 +231,6 @@ impl Conn {
                     }
                     self.queue(&response);
                     self.mode = after_reply(stopping);
-                    *progress = true;
                 }
                 Err(TryRecvError::Empty) if now >= deadline => {
                     shared.state.flight_abandon(generation, &key);
@@ -229,7 +246,6 @@ impl Conn {
                     }
                     self.queue(&Response::refusal(ErrKind::Timeout, shared.state.metrics()));
                     self.mode = after_reply(stopping);
-                    *progress = true;
                 }
                 Err(TryRecvError::Empty) => {
                     self.mode = Mode::AwaitQuery {
@@ -256,20 +272,17 @@ impl Conn {
                     }
                     self.queue(&worker_vanished(shared));
                     self.mode = after_reply(stopping);
-                    *progress = true;
                 }
             },
             Mode::AwaitExpand { rx } => match rx.try_recv() {
                 Ok(response) => {
                     self.queue(&response);
                     self.mode = after_reply(stopping);
-                    *progress = true;
                 }
                 Err(TryRecvError::Empty) => self.mode = Mode::AwaitExpand { rx },
                 Err(TryRecvError::Disconnected) => {
                     self.queue(&worker_vanished(shared));
                     self.mode = after_reply(stopping);
-                    *progress = true;
                 }
             },
             Mode::AwaitAdmin { rx } => match rx.try_recv() {
@@ -282,13 +295,11 @@ impl Conn {
                     };
                     self.queue(&response);
                     self.mode = after_reply(stopping);
-                    *progress = true;
                 }
                 Err(TryRecvError::Empty) => self.mode = Mode::AwaitAdmin { rx },
                 Err(TryRecvError::Disconnected) => {
                     self.queue(&Response::Err(ErrKind::ShuttingDown.into()));
                     self.mode = after_reply(stopping);
-                    *progress = true;
                 }
             },
             other => self.mode = other,
@@ -298,13 +309,7 @@ impl Conn {
     /// Read whatever the socket has, then parse and dispatch frames until
     /// the connection starts waiting on something (or runs out of input).
     /// Returns false when the connection should close.
-    fn pump_reads(
-        &mut self,
-        shared: &EventShared,
-        stopping: bool,
-        now: Instant,
-        progress: &mut bool,
-    ) -> bool {
+    fn pump_reads(&mut self, shared: &EventShared, stopping: bool, now: Instant) -> bool {
         let mut buf = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut buf) {
@@ -312,7 +317,6 @@ impl Conn {
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&buf[..n]);
                     self.last_activity = now;
-                    *progress = true;
                     if n < buf.len() {
                         break;
                     }
@@ -328,7 +332,6 @@ impl Conn {
             }
             match self.take_frame() {
                 Ok(Some(text)) => {
-                    *progress = true;
                     self.dispatch(&text, shared, stopping);
                     if stopping && matches!(self.mode, Mode::Reading) {
                         // Drain: one buffered request gets its answer, the
@@ -386,7 +389,7 @@ impl Conn {
             Ok(Request::Metrics) => self.queue(&Response::Metrics(state.metrics_text())),
             Ok(Request::Trace { n }) => self.queue(&Response::Traces(state.tracing().dump(n))),
             Ok(Request::Shutdown) => {
-                shared.stop.cancel();
+                shared.stop.trigger();
                 self.queue(&Response::Bye);
                 self.mode = Mode::Closing;
             }
@@ -416,7 +419,7 @@ impl Conn {
     /// Queries on other connections keep flowing the whole time — that is
     /// the point of the dedicated updater.
     fn submit_admin(&mut self, shared: &EventShared, admin: Admin) {
-        let (reply_tx, reply_rx) = channel::bounded(1);
+        let (reply_tx, reply_rx) = Reply::slot(self.wake.clone());
         if shared.admin.send((admin, reply_tx)).is_err() {
             self.queue(&Response::Err(ErrKind::ShuttingDown.into()));
             return;
@@ -450,7 +453,7 @@ impl Conn {
             ));
             return;
         }
-        let (reply_tx, reply_rx) = channel::bounded(1);
+        let (reply_tx, reply_rx) = Reply::slot(self.wake.clone());
         match shared.pool.submit(Job::Expand(ExpandJob {
             engine: current,
             terms,
@@ -520,7 +523,7 @@ impl Conn {
         // cache probe spend *from* the budget instead of extending it.
         let deadline = started + state.config().query_budget;
         let generation = current.generation;
-        let (reply_tx, reply_rx) = channel::bounded(1);
+        let (reply_tx, reply_rx) = Reply::slot(self.wake.clone());
         match state.flight_begin(generation, &key, reply_tx, deadline) {
             Some(cancel) => {
                 // Leader: submit the one shared execution. An admission
@@ -603,7 +606,7 @@ fn reply_response(shared: &EventShared, reply: &JobReply) -> Response {
                 partial: partial.clone(),
             };
         }
-        // The worker noticed the deadline before our sweep did (it checks
+        // The worker noticed the deadline before this connection's timer did (it checks
         // the token's own clock): still a timeout.
         Err(JobError::Search(SearchError::Cancelled { .. })) => ErrKind::Timeout.into(),
         // Unreachable through make_key, but surfaced honestly if a key is

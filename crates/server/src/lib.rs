@@ -49,20 +49,24 @@
 //! Threading model — connections cost file descriptors, not threads:
 //!
 //! ```text
-//! acceptor ──round-robin──► io threads (event loop) ──try_send──► bounded queue
-//!    │                        ▲   ▲ │  [conn state machines]           │
-//!    │ (shutdown flag)        │   └─┴──reply channels────◄──────── worker pool
-//!    │                        └─reply── updater thread (every `Admin`
-//!    │                                   value: build, then swap or stage)
-//!    └── on shutdown: stop accepting, drop the io channels, io threads
-//!        drain their connections, then drain the pool and join the updater
+//! listener ─► io thread 0 ─round-robin hand-over─► io threads 1.. ─try_send─► bounded queue
+//!             [each: one readiness wait over its sockets + waker + deadlines]      │
+//!                  ▲   ▲                                                            │
+//!                  │   └──── reply slot: inbox note + wake ◄──────────────── worker pool
+//!                  └──────── reply slot ◄── updater thread (every `Admin` value:
+//!                                            build, then swap or stage)
+//! on shutdown: the stop wakes every io thread; thread 0 closes the listener,
+//! each thread drains its connections, then thread 0 drains the pool and
+//! joins the updater
 //! ```
 //!
 //! A fixed set of I/O threads (`event`) own every client socket as a
-//! nonblocking state machine (`conn`); CPU work is handed to the worker
-//! pool and admin mutations to the updater, so tens of thousands of idle or
-//! slow clients never exhaust threads — the failure mode that used to drop
-//! connections silently at accept. Concurrent identical cold queries are
+//! nonblocking state machine (`conn`) and block in a readiness wait
+//! (`pit_sys::Poller`) between events; CPU work is handed to the worker
+//! pool and admin mutations to the updater, whose reply slots wake the
+//! waiting connection's thread. Tens of thousands of idle or slow clients
+//! therefore cost neither threads nor CPU — running out of threads is the
+//! failure mode that used to drop connections silently at accept. Concurrent identical cold queries are
 //! **coalesced** into a single flight ([`cache::InflightMap`]): one
 //! execution, one cache fill, every waiter gets the same reply — which is
 //! what keeps a post-`RELOAD` thundering herd from recomputing the same
@@ -102,26 +106,23 @@ pub use protocol::{
 };
 pub use state::{AdminReply, EngineGen, RankedTopics, ServerConfig, ServerState};
 
-use crossbeam::channel::{self, Receiver, Sender};
-use pit_search_core::CancelToken;
-use pool::WorkerPool;
+use crossbeam::channel::{self, Receiver};
+use event::{Acceptor, EventShared, Mailbox, Stop};
+use pit_sys::Poller;
+use pool::{Reply, WorkerPool};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long the acceptor sleeps when the listener has nothing for it; also
-/// bounds how fast it notices the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// A running server. Dropping the handle does **not** stop the server; call
 /// [`ServerHandle::shutdown`] (or send the `SHUTDOWN` verb) then
 /// [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: CancelToken,
-    acceptor: Option<JoinHandle<()>>,
+    stop: Stop,
+    /// I/O thread 0, which owns the listener and runs the drain.
+    io0: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -133,13 +134,13 @@ impl ServerHandle {
     /// Request a graceful stop: stop accepting, let in-flight queries
     /// finish, then exit. Idempotent.
     pub fn shutdown(&self) {
-        self.stop.cancel();
+        self.stop.trigger();
     }
 
-    /// Block until the acceptor, every connection, and the worker pool have
+    /// Block until the listener, every connection, and the worker pool have
     /// exited.
     pub fn join(mut self) {
-        if let Some(h) = self.acceptor.take() {
+        if let Some(h) = self.io0.take() {
             let _ = h.join();
         }
     }
@@ -148,12 +149,21 @@ impl ServerHandle {
 /// Bind `addr` and serve `state` until `SHUTDOWN` (wire or handle).
 ///
 /// # Errors
-/// Propagates the bind failure.
+/// Propagates the bind failure, or the readiness poller's (fd exhaustion).
 pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let stop = CancelToken::cancellable();
+    // A fixed, small I/O thread count — connection count never grows it.
+    let io_threads = state.config().io_threads.max(1);
+    let mut threads = Vec::with_capacity(io_threads);
+    for _ in 0..io_threads {
+        let poller = Poller::new()?;
+        let (tx, inbox) = channel::unbounded();
+        let mailbox = Mailbox::new(tx, poller.waker());
+        threads.push((poller, inbox, mailbox));
+    }
+    let stop = Stop::new(threads.iter().map(|(poller, ..)| poller.waker()).collect());
     let pool = WorkerPool::start(Arc::clone(&state));
     let (admin_tx, admin_rx) = channel::unbounded::<AdminJob>();
     let updater = {
@@ -162,41 +172,41 @@ pub fn serve<A: ToSocketAddrs>(state: Arc<ServerState>, addr: A) -> io::Result<S
             .name("pit-updater".to_string())
             .spawn(move || updater_loop(&admin_rx, &state))?
     };
-    let shared = Arc::new(event::EventShared {
+    let shared = Arc::new(EventShared {
         state,
         pool,
         admin: admin_tx,
         stop: stop.clone(),
     });
-    // A fixed, small I/O thread count — connection count never grows it.
-    let io_threads = shared.state.config().io_threads.max(1);
-    let mut senders = Vec::with_capacity(io_threads);
+    // Thread 0 owns the listener and, once stopped, runs the drain.
+    let (poller0, inbox0, mailbox0) = threads.remove(0);
+    let mut peers = Vec::with_capacity(io_threads);
     let mut io_handles = Vec::with_capacity(io_threads);
-    for i in 0..io_threads {
-        let (tx, rx) = channel::unbounded::<TcpStream>();
+    for (i, (poller, inbox, mailbox)) in threads.into_iter().enumerate() {
         let shared = Arc::clone(&shared);
+        peers.push(mailbox.clone());
         io_handles.push(
             std::thread::Builder::new()
-                .name(format!("pit-io-{i}"))
-                .spawn(move || event::io_loop(&shared, &rx))?,
+                .name(format!("pit-io-{}", i + 1))
+                .spawn(move || event::io_loop(&shared, poller, &inbox, mailbox, None))?,
         );
-        senders.push(tx);
     }
-    let acceptor = {
-        let stop = stop.clone();
-        std::thread::Builder::new()
-            .name("pit-acceptor".to_string())
-            .spawn(move || accept_loop(&listener, shared, senders, io_handles, updater, &stop))?
-    };
+    let acceptor = Acceptor::new(listener, peers);
+    let io0 = std::thread::Builder::new()
+        .name("pit-io-0".to_string())
+        .spawn(move || {
+            event::io_loop(&shared, poller0, &inbox0, mailbox0, Some(acceptor));
+            drain(shared, io_handles, updater);
+        })?;
     Ok(ServerHandle {
         addr,
         stop,
-        acceptor: Some(acceptor),
+        io0: Some(io0),
     })
 }
 
 /// One engine change bound for the updater thread, with where to answer.
-pub(crate) type AdminJob = (Admin, Sender<AdminReply>);
+pub(crate) type AdminJob = (Admin, Reply<AdminReply>);
 
 /// The updater thread: the one caller of [`ServerState::admin`], so
 /// concurrent admin verbs apply one at a time and the worker pool never
@@ -204,54 +214,15 @@ pub(crate) type AdminJob = (Admin, Sender<AdminReply>);
 /// after finishing whatever was already queued.
 fn updater_loop(rx: &Receiver<AdminJob>, state: &ServerState) {
     while let Ok((admin, reply)) = rx.recv() {
-        let _ = reply.send(state.admin(&admin));
+        reply.send(state.admin(&admin));
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: Arc<event::EventShared>,
-    senders: Vec<Sender<TcpStream>>,
-    io_handles: Vec<JoinHandle<()>>,
-    updater: JoinHandle<()>,
-    stop: &CancelToken,
-) {
-    let mut next = 0usize;
-    while !stop.is_cancelled() {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let metrics = shared.state.metrics();
-                metrics.connections.inc();
-                if stream.set_nonblocking(true).is_err() {
-                    // The fd is unusable for the event loop (exhaustion or a
-                    // socket already dying): count it and tell the client,
-                    // best effort, instead of dropping silently.
-                    metrics.accept_errors.inc();
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-                    let _ = protocol::write_frame(
-                        &mut stream,
-                        &Response::Err(ErrKind::Overloaded.into()).render(),
-                    );
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                metrics.open_connections.inc();
-                // Unbounded + round-robin: the send cannot fail while the
-                // I/O threads are alive, and they outlive this loop.
-                let _ = senders[next % senders.len()].send(stream);
-                next = next.wrapping_add(1);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => {
-                shared.state.metrics().accept_errors.inc();
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-    // Drain: dropping the senders tells every I/O thread to exit once its
-    // connections finish their in-flight request; then the pool empties its
-    // queue, and the updater finishes any queued admin work before exiting.
-    drop(senders);
+/// The drain's tail, run by I/O thread 0 once its own connections are gone
+/// and the listener is closed: wait for the other I/O threads to finish
+/// theirs, then the pool empties its queue, and the updater finishes any
+/// queued admin work before exiting.
+fn drain(shared: Arc<EventShared>, io_handles: Vec<JoinHandle<()>>, updater: JoinHandle<()>) {
     for h in io_handles {
         let _ = h.join();
     }

@@ -16,6 +16,7 @@
 
 use crate::cache::QueryKey;
 use crate::engine::ServeError;
+use crate::event::Wake;
 use crate::protocol::{ErrKind, Response};
 use crate::state::{EngineGen, RankedTopics, ServerState};
 use crate::trace::{TraceCtx, TraceOutcome};
@@ -74,7 +75,37 @@ pub struct ExpandJob {
     /// `(user, mass)` probes to expand.
     pub probes: Vec<(u32, f64)>,
     /// Buffered (capacity 1) reply slot; the send never blocks a worker.
-    pub reply: Sender<Response>,
+    pub reply: Reply<Response>,
+}
+
+/// A buffered (capacity 1) reply slot bound for one connection. Filling it
+/// — or dropping it unfilled, which the connection reads as a vanished
+/// replier — wakes the connection's I/O thread, so the reply is picked up
+/// the moment it exists instead of at some later poll.
+pub struct Reply<T> {
+    tx: Sender<T>,
+    wake: Wake,
+}
+
+impl<T> Reply<T> {
+    /// A slot whose filling wakes through `wake`, and its receiving end.
+    pub(crate) fn slot(wake: Wake) -> (Reply<T>, Receiver<T>) {
+        let (tx, rx) = channel::bounded(1);
+        (Reply { tx, wake }, rx)
+    }
+
+    /// Deliver the reply. Never blocks; a receiver that already gave up
+    /// is skipped harmlessly.
+    pub fn send(self, value: T) {
+        let _ = self.tx.send(value);
+        // `self` drops here: the wake follows the value.
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        self.wake.wake();
+    }
 }
 
 /// One admitted query, owned by a worker until answered. The answer goes to
@@ -278,7 +309,7 @@ fn run_expand(job: ExpandJob, state: &ServerState) {
             )
         }
     };
-    let _ = job.reply.send(response);
+    job.reply.send(response);
 }
 
 fn run_query(mut job: QueryJob, state: &ServerState, scratch: &mut SearchScratch) {

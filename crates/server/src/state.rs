@@ -16,10 +16,9 @@
 use crate::cache::{FlightRole, InflightMap, QueryCache, QueryKey, StaleReason};
 use crate::engine::{LocalServeEngine, ServeEngine, ServeError, ServeOutcome};
 use crate::metrics::{self, Metrics, View};
-use crate::pool::JobReply;
+use crate::pool::{JobReply, Reply};
 use crate::protocol::{Admin, ErrKind, Successor, WireError};
 use crate::trace::TraceCollector;
-use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 use pit::{DeltaScope, PitEngine};
 use pit_graph::NodeId;
@@ -113,7 +112,7 @@ pub struct ServerState {
     /// Single-flight registry: one execution per `(generation, key)` at a
     /// time; concurrent identical cold queries wait on it instead of
     /// recomputing the same ranking N times (the post-reload herd).
-    inflight: InflightMap<JobReply, CancelToken>,
+    inflight: InflightMap<Reply<JobReply>, CancelToken>,
     metrics: Metrics,
     tracing: TraceCollector,
     config: ServerConfig,
@@ -310,7 +309,7 @@ impl ServerState {
         &self,
         generation: u64,
         key: &QueryKey,
-        tx: Sender<JobReply>,
+        tx: Reply<JobReply>,
         deadline: Instant,
     ) -> Option<CancelToken> {
         let role = self.inflight.begin(generation, key, tx, deadline, || {
@@ -351,7 +350,7 @@ impl ServerState {
     /// skipped harmlessly (their receivers are gone).
     pub fn flight_resolve(&self, generation: u64, key: &QueryKey, reply: &JobReply) {
         for tx in self.inflight.resolve(generation, key) {
-            let _ = tx.send(reply.clone());
+            tx.send(reply.clone());
         }
     }
 
