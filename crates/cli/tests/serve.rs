@@ -86,8 +86,8 @@ fn serve_answers_queries_identical_to_offline_and_drains() {
 #[test]
 fn ten_thousand_idle_connections_cost_fds_not_threads() {
     // The event-loop acceptance drill: idle clients must not grow the
-    // server's thread count, and the daemon must stay responsive with
-    // thousands of sockets parked.
+    // server's thread count or burn its CPU, and the daemon must stay
+    // responsive with thousands of sockets parked.
     const TARGET: usize = 10_000;
     const FLOOR: usize = 8_000;
     let dir = scratch_dir("idle10k");
@@ -150,8 +150,8 @@ fn ten_thousand_idle_connections_cost_fds_not_threads() {
     assert_eq!(get_stat(&pairs, "queued_jobs"), 0);
     assert_eq!(get_stat(&pairs, "io_threads"), 2);
 
-    // The thread count is fixed: main + acceptor + 2 io + 2 workers +
-    // updater plus a little slack — nowhere near one-per-connection.
+    // The thread count is fixed: main + 2 io + 2 workers + updater plus a
+    // little slack — nowhere near one-per-connection.
     let tasks = std::fs::read_dir(format!("/proc/{server_pid}/task"))
         .expect("read /proc tasks")
         .count();
@@ -160,10 +160,34 @@ fn ten_thousand_idle_connections_cost_fds_not_threads() {
         "server runs {tasks} threads with {parked} connections parked"
     );
 
+    // Parked sockets cost no CPU: the I/O threads block in their readiness
+    // wait, not in a polling sweep. Under 2 % of one core over the window.
+    let window = Duration::from_secs(3);
+    let before = cpu_seconds(server_pid);
+    std::thread::sleep(window);
+    let used = cpu_seconds(server_pid) - before;
+    assert!(
+        used < 0.02 * window.as_secs_f64(),
+        "idle server used {used:.3} s of CPU in {window:?} with {parked} connections parked"
+    );
+
     drop(idle);
     assert_eq!(ask(&mut c, &Request::Shutdown), Response::Bye);
     assert!(child.wait().expect("server exit").success());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A process's user + system CPU time so far, from `/proc/<pid>/stat`
+/// (fields 14 and 15, in the kernel's fixed 100 Hz `USER_HZ` ticks).
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+    // The command name may hold spaces; the numeric fields follow its ')'.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 1..]
+        .split_whitespace()
+        .collect();
+    let ticks = |i: usize| -> f64 { fields[i].parse::<u64>().expect("tick count") as f64 };
+    // fields[0] is field 3 (state), so utime (14) and stime (15) sit at 11, 12.
+    (ticks(11) + ticks(12)) / 100.0
 }
 
 #[test]

@@ -85,8 +85,30 @@ fn serves_ping_query_stats_and_shuts_down() {
     assert_eq!(get_stat(&pairs, "queries"), 2);
     assert_eq!(get_stat(&pairs, "cache_hits"), 1);
 
+    // The wire verb reaches I/O threads blocked in their readiness wait:
+    // with connections parked and no traffic, the whole drain is prompt.
+    let parked = park(handle.addr(), 64);
+    let started = Instant::now();
     assert_eq!(ask(&mut c, &Request::Shutdown), Response::Bye);
     handle.join();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "SHUTDOWN with {} parked connections took {took:?}",
+        parked.len()
+    );
+}
+
+/// `n` connections, each answered once (so every I/O thread has registered
+/// its share), then left idle.
+fn park(addr: std::net::SocketAddr, n: usize) -> Vec<TcpStream> {
+    (0..n)
+        .map(|_| {
+            let mut c = connect(addr);
+            assert_eq!(ask(&mut c, &Request::Ping), Response::Pong);
+            c
+        })
+        .collect()
 }
 
 #[test]
@@ -166,9 +188,12 @@ fn poisoned_query_is_internal_and_the_pool_self_heals() {
 fn budget_expiry_cancels_the_search_and_frees_the_worker() {
     // One worker; user 7's search sleeps 1s at the start of every phase
     // (gather, each EXPAND round, rank), so an uncancelled run would hold
-    // the worker for (expand_rounds + 2) × 1s. The 100ms budget must (a)
-    // answer the waiter on time and (b) release the worker at the first
-    // cancellation check, before the first EXPAND round.
+    // the worker for (expand_rounds + 2) × 1s. The 50ms budget must (a)
+    // answer the waiter on time — the budget is the I/O thread's wait
+    // timeout, so the reply may trail it by the wake-up only — and (b)
+    // release the worker at the first cancellation check, before the first
+    // EXPAND round.
+    let budget = Duration::from_millis(50);
     let drag = Duration::from_millis(1000);
     let faults = Faults {
         drag_user: Some(7),
@@ -180,7 +205,7 @@ fn budget_expiry_cancels_the_search_and_frees_the_worker() {
         ServerConfig {
             workers: 1,
             cache_capacity: 0,
-            query_budget: Duration::from_millis(100),
+            query_budget: budget,
             ..ServerConfig::default()
         },
     );
@@ -202,8 +227,8 @@ fn budget_expiry_cancels_the_search_and_frees_the_worker() {
     let waited = started.elapsed();
     assert_eq!(reply, Response::Err(ErrKind::Timeout.into()));
     assert!(
-        waited < Duration::from_millis(600),
-        "timeout reply must honor the budget, took {waited:?}"
+        waited < budget + Duration::from_millis(20),
+        "timeout reply must honor the {budget:?} budget, took {waited:?}"
     );
 
     // Poll until the worker answers again: it must come back long
@@ -531,9 +556,12 @@ fn update_leaves_disjoint_cache_entries_hitting() {
 fn oversized_length_prefix_closes_the_connection_without_a_reply() {
     // The event loop's frame reader must refuse a length prefix above
     // the cap before buffering toward it: no reply, the connection
-    // closes, and the server keeps serving everyone else.
+    // closes, and the server keeps serving everyone else. An idle
+    // connection is closed too, on time, by the loop's deadline alone.
+    let io_timeout = Duration::from_millis(100);
     let state = tiny_state(ServerConfig {
         workers: 1,
+        io_timeout,
         ..ServerConfig::default()
     });
     let handle = serve(state, "127.0.0.1:0").unwrap();
@@ -557,6 +585,23 @@ fn oversized_length_prefix_closes_the_connection_without_a_reply() {
         let mut fresh = TcpStream::connect(handle.addr()).unwrap();
         assert_eq!(ask(&mut fresh, &Request::Ping), Response::Pong);
     }
+    // Idle after one exchange: cut `io_timeout` after the reply, with
+    // nothing but the wait's timeout to wake the loop.
+    let mut idle = connect(handle.addr());
+    assert_eq!(ask(&mut idle, &Request::Ping), Response::Pong);
+    let replied = Instant::now();
+    let mut buf = [0u8; 8];
+    assert_eq!(
+        std::io::Read::read(&mut idle, &mut buf).unwrap(),
+        0,
+        "an idle connection is closed, not answered"
+    );
+    let cut = replied.elapsed();
+    assert!(
+        cut >= io_timeout - Duration::from_millis(10)
+            && cut < io_timeout + Duration::from_millis(20),
+        "idle connection cut after {cut:?} (io_timeout {io_timeout:?})"
+    );
     handle.shutdown();
     handle.join();
 }
@@ -568,8 +613,18 @@ fn handle_shutdown_stops_the_server() {
     let addr = handle.addr();
     let mut c = TcpStream::connect(addr).unwrap();
     assert_eq!(ask(&mut c, &Request::Ping), Response::Pong);
+    // Parked connections and no traffic: the handle's stop must reach I/O
+    // threads blocked in their readiness wait, and the drain is prompt.
+    let parked = park(addr, 64);
+    let started = Instant::now();
     handle.shutdown();
     handle.join();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "shutdown + join with {} parked connections took {took:?}",
+        parked.len()
+    );
     // The listener is gone: a fresh connection now fails (either refused
     // outright or closed before replying).
     match TcpStream::connect(addr) {
