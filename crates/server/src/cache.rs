@@ -453,7 +453,7 @@ impl<W, C: Clone> InflightMap<W, C> {
     }
 
     /// The execution finished (or failed to start): remove the flight and
-    /// hand back every waiter channel. The caller sends the result outside
+    /// hand back every waiter. The caller sends the result outside
     /// the lock.
     pub fn resolve(&self, generation: u64, key: &QueryKey) -> Vec<W> {
         let mut flights = self.flights.lock();

@@ -66,11 +66,11 @@
 //! pool and admin mutations to the updater, whose reply slots wake the
 //! waiting connection's thread. Tens of thousands of idle or slow clients
 //! therefore cost neither threads nor CPU — running out of threads is the
-//! failure mode that used to drop connections silently at accept. Concurrent identical cold queries are
-//! **coalesced** into a single flight ([`cache::InflightMap`]): one
-//! execution, one cache fill, every waiter gets the same reply — which is
-//! what keeps a post-`RELOAD` thundering herd from recomputing the same
-//! ranking N times.
+//! failure mode that used to drop connections silently at accept.
+//! Concurrent identical cold queries are **coalesced** into a single flight
+//! ([`cache::InflightMap`]): one execution, one cache fill, every waiter
+//! gets the same reply — which is what keeps a post-`RELOAD` thundering
+//! herd from recomputing the same ranking N times.
 
 #![forbid(unsafe_code)]
 // Serving code does not panic (DESIGN.md §10); a site that must carries an

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Which readiness a registered fd is waited on for.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interest {
     /// Wake when the fd is readable (or a listener has a connection).
     pub read: bool,
